@@ -10,11 +10,9 @@ from .feature_map import FeatureMapParams, LayerSpec, identity_map
 from .kernel import KernelParams
 from .mfgp import (
     Dataset,
-    GramBundle,
     ModelParams,
     NotPositiveDefiniteError,
     PosteriorPrediction,
-    assemble,
     nll,
     nll_gradient,
     predict,
@@ -28,7 +26,6 @@ __all__ = [
     "Dataset",
     "FeatureMapParams",
     "FittedModel",
-    "GramBundle",
     "KernelParams",
     "LayerSpec",
     "Metrics",
@@ -38,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingFailedError",
-    "assemble",
     "from_report",
     "generate",
     "gradient_check",

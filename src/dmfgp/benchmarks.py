@@ -3,7 +3,6 @@
 piecewise-linear true feature map) and prediction-quality metrics.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +142,7 @@ def generate(spec):
         f1, f2 = s1[i1], s2[i2]
         truth = s2[N_CANDIDATES:]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # spec may request n2 >= n1
-        data = Dataset(x1.reshape(-1, 1), f1, x2.reshape(-1, 1), f2)
+    data = Dataset(x1.reshape(-1, 1), f1, x2.reshape(-1, 1), f2)
     return data, grid.reshape(-1, 1), truth
 
 

@@ -86,16 +86,19 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    data = io.read_dataset(args.data)
     baseline = args.baseline == "ar1"
-    config = TrainConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        freeze_feature_map=baseline,
-        freeze_noise=args.freeze_noise,
-        frozen_noise_variance=args.noise_variance,
-    )
+    try:
+        config = TrainConfig(
+            restarts=args.restarts,
+            max_iterations=args.max_iterations,
+            seed=args.seed,
+            freeze_feature_map=baseline,
+            freeze_noise=args.freeze_noise,
+            frozen_noise_variance=args.noise_variance,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    data = io.read_dataset(args.data)
     arch = parse_arch(args.arch, data.d_in)
     if arch is None:
         baseline = True

@@ -6,7 +6,6 @@ doubles round-trip losslessly. Files are UTF-8 with LF line endings.
 """
 
 import csv
-import warnings
 
 import numpy as np
 
@@ -77,9 +76,7 @@ def read_dataset(path):
     f2 = np.array([y for f, _, y in rows if f == 2])
     if x1.shape[0] == 0 or x2.shape[0] == 0:
         raise ValueError(f"{path}: need rows at both fidelity levels")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Dataset(x1, f1, x2, f2)
+    return Dataset(x1, f1, x2, f2)
 
 
 def write_test_grid(path, X, truth):

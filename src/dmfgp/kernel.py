@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "KernelParams",
-    "se_ard_eval",
     "gram",
     "gram_grad_hyper",
     "gram_grad_inputs",
@@ -81,21 +80,8 @@ def _scaled_diff(params, U, V):
     return (U[:, None, :] - V[None, :, :]) / params.lengthscales
 
 
-def se_ard_eval(params, u, v):
-    """Evaluate sigma_f^2 * exp(-0.5 * sum_d ((u_d - v_d)/ell_d)^2)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if u.shape != v.shape or u.shape[0] != params.dim:
-        raise ValueError(
-            f"feature dimension mismatch: kernel has D={params.dim}, "
-            f"got vectors of shape {u.shape} and {v.shape}"
-        )
-    r2 = np.sum(((u - v) / params.lengthscales) ** 2)
-    return params.signal_variance * float(np.exp(-0.5 * r2))
-
-
 def gram(params, U, V):
-    """Gram matrix with entries se_ard_eval(params, U_i, V_j).
+    """Gram matrix with entries sigma_f^2 * exp(-0.5 * sum_d ((U_id - V_jd)/ell_d)^2).
 
     Parameters
     ----------

@@ -2,18 +2,18 @@
 log marginal likelihood with full analytic gradient, posterior prediction
 for the high-fidelity output, and joint-prior sampling.
 
-The joint prior over (f1(h), f2(h)) has block covariance
+With H = h([x1; x2]) the learned features of all training inputs, the
+joint prior over (f1, f2) has covariance
 
-    [[ k1(h, h'),      rho * k1(h, h')               ],
-     [ rho * k1(h, h'), rho^2 * k1(h, h') + k2(h, h') ]]
+    K = diag(r) k1(H, H) diag(r) + blockdiag(0, k2(H2, H2))
 
-where h is the learned feature map applied to the inputs. Observation-noise
-variances are added to the diagonal training blocks; prediction targets the
-latent (noise-free) high-fidelity function.
+where r is 1 on the low-fidelity rows and rho on the high-fidelity rows,
+and H2 holds the high-fidelity rows of H. Observation-noise variances are
+added to the diagonal; prediction targets the latent (noise-free)
+high-fidelity function.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -74,11 +74,6 @@ class Dataset:
         for arr in (self.x1, self.f1, self.x2, self.f2):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("dataset contains non-finite entries")
-        if self.n2 >= self.n1:
-            warnings.warn(
-                f"expected n2 < n1 (scarce high-fidelity data); got n1={self.n1}, n2={self.n2}",
-                stacklevel=2,
-            )
 
     @property
     def n1(self):
@@ -126,7 +121,8 @@ class ModelParams:
 
 @dataclass
 class ModelGradient:
-    """Gradient of the NLL with the same structure as ModelParams."""
+    """Gradient of the NLL with the same structure as ModelParams, and the
+    NLL it was taken at."""
 
     rho: float
     k1: np.ndarray  # (1 + D,) ordered as KernelParams.to_vector
@@ -134,6 +130,7 @@ class ModelGradient:
     fmap: fm.FeatureMapGrad
     log_noise1: float
     log_noise2: float
+    nll: float
 
 
 @dataclass
@@ -143,8 +140,7 @@ class GramBundle:
     K: np.ndarray
     chol: np.ndarray  # lower triangular factor of K + jitter * I
     alpha: np.ndarray  # (K + jitter I)^{-1} f
-    H1: np.ndarray
-    H2: np.ndarray
+    H: np.ndarray  # features of [x1; x2]
     jitter: float
 
 
@@ -181,31 +177,24 @@ def _chol_with_escalation(K, jitter):
             return L, j
         except np.linalg.LinAlgError:
             pass
-        except Exception:
-            pass
         j = 10.0 * max(j, 1e-16 * max(mean_diag, 1.0))
         if j > cap:
             raise NotPositiveDefiniteError(j)
 
 
-def _blocks(params, H1, H2):
-    g11 = kern.gram(params.k1, H1, H1)
-    g12 = kern.gram(params.k1, H1, H2)
-    g22_1 = kern.gram(params.k1, H2, H2)
-    g22_2 = kern.gram(params.k2, H2, H2)
-    return g11, g12, g22_1, g22_2
+def _joint_cov(G1, G2, rho, n1):
+    """diag(r) G1 diag(r) with G2 added on the high-fidelity block.
 
-
-def _joint_K(params, H1, H2, with_noise=True):
-    g11, g12, g22_1, g22_2 = _blocks(params, H1, H2)
-    rho = params.rho
-    K11 = g11.copy()
-    K12 = rho * g12
-    K22 = rho**2 * g22_1 + g22_2
-    if with_noise:
-        K11[np.diag_indices_from(K11)] += noise_variance(params.log_noise1)
-        K22[np.diag_indices_from(K22)] += noise_variance(params.log_noise2)
-    return np.block([[K11, K12], [K12.T, K22]])
+    Scales G1 in place: r_i r_j is 1, rho or rho * rho, so only the blocks
+    with a high-fidelity row or column change, and no n x n temporaries are
+    made (the prior-sampling K is 800 x 800).
+    """
+    K = G1
+    K[:n1, n1:] *= rho
+    K[n1:, :n1] *= rho
+    K[n1:, n1:] *= rho * rho
+    K[n1:, n1:] += G2
+    return K
 
 
 def assemble(params, data, jitter=None):
@@ -217,69 +206,80 @@ def assemble(params, data, jitter=None):
         Initial diagonal jitter; None selects 1e-8 * mean(diag K).
         Escalated x10 on Cholesky failure up to 1e-2 * mean(diag K).
     """
-    H1 = fm.forward(params.arch, params.fmap, data.x1)
-    H2 = fm.forward(params.arch, params.fmap, data.x2)
-    K = _joint_K(params, H1, H2)
+    n1 = data.n1
+    H = fm.forward(params.arch, params.fmap, np.vstack([data.x1, data.x2]))
+    H2 = H[n1:]
+    K = _joint_cov(kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2), params.rho, n1)
+    noise1, noise2 = noise_variance(params.log_noise1), noise_variance(params.log_noise2)
+    K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n1, noise1, noise2)
     L, j = _chol_with_escalation(K, jitter)
     alpha = cho_solve((L, True), data.f)
-    return GramBundle(K, L, alpha, H1, H2, j)
+    return GramBundle(K, L, alpha, H, j)
+
+
+def _nll_of(b, f):
+    return float(
+        0.5 * f @ b.alpha
+        + np.sum(np.log(np.diag(b.chol)))
+        + 0.5 * f.size * np.log(2.0 * np.pi)
+    )
 
 
 def nll(params, data, jitter=None):
     """Negative log marginal likelihood
     0.5 f^T K^-1 f + 0.5 log|K| + (n/2) log(2 pi), via the Cholesky factor."""
-    b = assemble(params, data, jitter)
-    n = data.n1 + data.n2
-    return float(
-        0.5 * data.f @ b.alpha
-        + np.sum(np.log(np.diag(b.chol)))
-        + 0.5 * n * np.log(2.0 * np.pi)
-    )
+    return _nll_of(assemble(params, data, jitter), data.f)
 
 
-def _gram_input_adjoint(kp, U, V, W):
-    """Adjoints (dU, dV) of sum_ij W[i,j] * gram(kp, U, V)[i,j]."""
-    T = kern.gram_grad_inputs(kp, U, V)
+def _gram_input_adjoint(W, T):
+    """Adjoints (dU, dV) of sum_ij W[i,j] * gram(kp, U, V)[i,j], given
+    T = gram_grad_inputs(kp, U, V)."""
     dU = np.einsum("ij,ijd->id", W, T)
     dV = -np.einsum("ij,ijd->jd", W, T)
     return dU, dV
 
 
 def nll_gradient(params, data, jitter=None):
-    """Analytic gradient of the NLL over all model parameters.
+    """NLL and its analytic gradient over all model parameters, from one
+    factorization of K.
 
     Uses dL/dK = 0.5 * (K^-1 - alpha alpha^T) and chains it through the
-    block structure; the feature adjoint dL/dH is contracted across all
-    blocks and pushed through the feature map by backpropagation. The
-    feature-map gradient is zero when the map is frozen (identity baseline).
+    fidelity blocks of K, where k1 enters as [[G, rho G], [rho G, rho^2 G]]
+    and k2 as the high-fidelity block; each block is a slice of one Gram (or
+    Gram derivative) per kernel over H. The feature adjoint dL/dH is pushed
+    through the feature map by backpropagation. The feature-map gradient is
+    zero when the map is frozen (identity baseline).
+
+    The k1 terms are summed block by block rather than as one contraction
+    against A * r r^T: the two orders differ at roundoff, and the optimizer
+    amplifies that into different training outcomes.
     """
     b = assemble(params, data, jitter)
     n1, n2 = data.n1, data.n2
+    n = n1 + n2
+    lo, hi = slice(None, n1), slice(n1, None)
     rho = params.rho
-    H1, H2 = b.H1, b.H2
+    H, H2 = b.H, b.H[hi]
 
-    Kinv = cho_solve((b.chol, True), np.eye(n1 + n2))
+    Kinv = cho_solve((b.chol, True), np.eye(n))
     A = 0.5 * (Kinv - np.outer(b.alpha, b.alpha))
-    A11 = A[:n1, :n1]
-    A12 = A[:n1, n1:]
-    A22 = A[n1:, n1:]
+    A11, A12, A22 = A[lo, lo], A[lo, hi], A[hi, hi]
 
-    g11, g12, g22_1, g22_2 = _blocks(params, H1, H2)
+    # the first derivative gram_grad_hyper returns is the Gram itself
+    gh1 = kern.gram_grad_hyper(params.k1, H, H)
+    gh2 = kern.gram_grad_hyper(params.k2, H2, H2)
 
     # rho appears in the off-diagonal blocks linearly and in (2,2) quadratically
-    d_rho = 2.0 * np.sum(A12 * g12) + 2.0 * rho * np.sum(A22 * g22_1)
-
-    gh11 = kern.gram_grad_hyper(params.k1, H1, H1)
-    gh12 = kern.gram_grad_hyper(params.k1, H1, H2)
-    gh22_1 = kern.gram_grad_hyper(params.k1, H2, H2)
-    gh22_2 = kern.gram_grad_hyper(params.k2, H2, H2)
+    d_rho = 2.0 * np.sum(A12 * gh1[0][lo, hi]) + 2.0 * rho * np.sum(A22 * gh1[0][hi, hi])
     d_k1 = np.array(
         [
-            np.sum(A11 * d11) + 2.0 * rho * np.sum(A12 * d12) + rho**2 * np.sum(A22 * d22)
-            for d11, d12, d22 in zip(gh11, gh12, gh22_1)
+            np.sum(A11 * d[lo, lo])
+            + 2.0 * rho * np.sum(A12 * d[lo, hi])
+            + rho**2 * np.sum(A22 * d[hi, hi])
+            for d in gh1
         ]
     )
-    d_k2 = np.array([np.sum(A22 * d22) for d22 in gh22_2])
+    d_k2 = np.array([np.sum(A22 * d) for d in gh2])
 
     d_n1 = float(np.trace(A11)) * float(np.exp(params.log_noise1))
     d_n2 = float(np.trace(A22)) * float(np.exp(params.log_noise2))
@@ -288,7 +288,6 @@ def nll_gradient(params, data, jitter=None):
         # the automatic jitter scales with mean(diag K), which itself depends
         # on the signal variances, rho, and the noise terms; chain that in so
         # the gradient matches the implemented nll exactly
-        n = n1 + n2
         mean_diag = float(np.mean(np.diag(b.K)))
         scale = b.jitter / mean_diag  # escalation level times 1e-8
         trA = float(np.trace(A))
@@ -300,20 +299,22 @@ def nll_gradient(params, data, jitter=None):
         d_n2 += trA * scale * float(np.exp(params.log_noise2)) * n2 / n
 
     if params.fmap.trainable:
-        dH1 = np.zeros_like(H1)
-        dH2 = np.zeros_like(H2)
+        T1 = kern.gram_grad_inputs(params.k1, H, H)
+        dH1, dH2 = np.zeros_like(H[lo]), np.zeros_like(H2)
         # diagonal block k1(H1, H1): H1 enters on both sides
-        dU, dV = _gram_input_adjoint(params.k1, H1, H1, A11)
+        dU, dV = _gram_input_adjoint(A11, T1[lo, lo])
         dH1 += dU + dV
         # off-diagonal rho * k1(H1, H2), counted twice by symmetry of A
-        dU, dV = _gram_input_adjoint(params.k1, H1, H2, A12)
+        dU, dV = _gram_input_adjoint(A12, T1[lo, hi])
         dH1 += 2.0 * rho * dU
         dH2 += 2.0 * rho * dV
         # (2,2) block rho^2 * k1 + k2 on H2
-        dU, dV = _gram_input_adjoint(params.k1, H2, H2, A22)
+        dU, dV = _gram_input_adjoint(A22, T1[hi, hi])
         dH2 += rho**2 * (dU + dV)
-        dU, dV = _gram_input_adjoint(params.k2, H2, H2, A22)
+        dU, dV = _gram_input_adjoint(A22, kern.gram_grad_inputs(params.k2, H2, H2))
         dH2 += dU + dV
+        # one backward pass per fidelity: a pass over the stacked rows sums
+        # the weight gradient in another order, which moves training roundoff
         g_lo = fm.backward(params.arch, params.fmap, data.x1, dH1)
         g_hi = fm.backward(params.arch, params.fmap, data.x2, dH2)
         d_fmap = fm.FeatureMapGrad(
@@ -326,13 +327,13 @@ def nll_gradient(params, data, jitter=None):
             [np.zeros_like(bi) for bi in params.fmap.biases],
         )
 
-    return ModelGradient(float(d_rho), d_k1, d_k2, d_fmap, d_n1, d_n2)
+    return ModelGradient(float(d_rho), d_k1, d_k2, d_fmap, d_n1, d_n2, _nll_of(b, data.f))
 
 
 def predict(params, data, Xstar, jitter=None):
     """Posterior of the latent high-fidelity output at query points.
 
-    mean = K_* K^-1 f with K_* = [rho*k1(h*, H1), rho^2*k1(h*, H2) + k2(h*, H2)];
+    mean = K_* K^-1 f with K_* = rho * k1(h*, H) diag(r) + [0, k2(h*, H2)];
     variance is the diagonal of k22(h*, h*) - K_* K^-1 K_*^T. The training
     covariance K carries the noise diagonals; K_* and k22(h*, h*) do not.
     """
@@ -343,13 +344,10 @@ def predict(params, data, Xstar, jitter=None):
         )
     b = assemble(params, data, jitter)
     Hs = fm.forward(params.arch, params.fmap, Xstar)
-    rho = params.rho
-    Ks = np.hstack(
-        [
-            rho * kern.gram(params.k1, Hs, b.H1),
-            rho**2 * kern.gram(params.k1, Hs, b.H2) + kern.gram(params.k2, Hs, b.H2),
-        ]
-    )
+    n1, rho = data.n1, params.rho
+    r = np.where(np.arange(b.H.shape[0]) < n1, 1.0, rho)
+    Ks = rho * r * kern.gram(params.k1, Hs, b.H)
+    Ks[:, n1:] += kern.gram(params.k2, Hs, b.H[n1:])
     mean = Ks @ b.alpha
     v = solve_triangular(b.chol, Ks.T, lower=True)
     prior = rho**2 * params.k1.signal_variance + params.k2.signal_variance
@@ -367,9 +365,9 @@ def sample_prior_features(k1, k2, rho, H, seed, jitter=None):
     n = H.shape[0]
     if n == 0:
         raise ValueError("need at least one sample point")
-    g = kern.gram(k1, H, H)
-    K_full = np.block([[g, rho * g], [rho * g, rho**2 * g + kern.gram(k2, H, H)]])
-    L, _ = _chol_with_escalation(K_full, jitter)
+    # both fidelities sit at the same n inputs, so the k1 Gram repeats
+    K = _joint_cov(np.tile(kern.gram(k1, H, H), (2, 2)), kern.gram(k2, H, H), rho, n)
+    L, _ = _chol_with_escalation(K, jitter)
     rng = np.random.default_rng(seed)
     s = L @ rng.standard_normal(2 * n)
     return s[:n], s[n:]

@@ -8,7 +8,6 @@ bit for bit.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +29,12 @@ class FittedModel:
     meta: dict = field(default_factory=dict)
 
     def _centered_data(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return Dataset(
-                self.data.x1,
-                (self.data.f1 - self.center_mean) / self.center_scale,
-                self.data.x2,
-                (self.data.f2 - self.center_mean) / self.center_scale,
-            )
+        return Dataset(
+            self.data.x1,
+            (self.data.f1 - self.center_mean) / self.center_scale,
+            self.data.x2,
+            (self.data.f2 - self.center_mean) / self.center_scale,
+        )
 
     def nll(self):
         """NLL of the centered training targets (the trained objective)."""
@@ -163,10 +160,8 @@ def load_model(path):
         pd["log_noise2"],
     )
     dd = doc["data"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        data = Dataset(
-            np.asarray(dd["x1"]), np.asarray(dd["f1"]), np.asarray(dd["x2"]), np.asarray(dd["f2"])
-        )
+    data = Dataset(
+        np.asarray(dd["x1"]), np.asarray(dd["f1"]), np.asarray(dd["x2"]), np.asarray(dd["f2"])
+    )
     c = doc["centering"]
     return FittedModel(params, data, c["mean"], c["scale"], doc.get("training", {}))

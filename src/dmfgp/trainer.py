@@ -175,12 +175,11 @@ def _minimize_restart(value_and_grad, x0, max_iterations, gtol):
 
     value_and_grad(x) returns (f, g), using the penalty convention above for
     infeasible points. Returns (x, f, g, iterations, converged) or None when
-    the start point itself is infeasible. ``converged`` means the max-norm of
-    the gradient at the solution is below gtol.
+    the start point itself is infeasible: scipy's first evaluation, at x0,
+    then gets the penalty with a zero gradient, and L-BFGS-B stops there.
+    ``converged`` means the max-norm of the gradient at the solution is below
+    gtol.
     """
-    f0, g0 = value_and_grad(np.asarray(x0, dtype=float))
-    if f0 >= _PENALTY:
-        return None
     res = minimize(
         value_and_grad,
         x0,
@@ -188,11 +187,10 @@ def _minimize_restart(value_and_grad, x0, max_iterations, gtol):
         method="L-BFGS-B",
         options={"maxiter": max_iterations, "gtol": gtol},
     )
-    f, g = value_and_grad(res.x)
-    if f >= _PENALTY or not np.all(np.isfinite(g)):
+    if res.fun >= _PENALTY:
         return None
-    converged = bool(np.max(np.abs(g)) < gtol)
-    return res.x, float(f), g, int(res.nit), converged
+    converged = bool(np.max(np.abs(res.jac)) < gtol)
+    return res.x, float(res.fun), res.jac, int(res.nit), converged
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +208,7 @@ def center_targets(data):
     scale = float(np.std(f))
     if scale < 1e-12:
         scale = 1.0
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # n2 < n1 already checked on the input
-        centered = Dataset(data.x1, (data.f1 - mean) / scale, data.x2, (data.f2 - mean) / scale)
+    centered = Dataset(data.x1, (data.f1 - mean) / scale, data.x2, (data.f2 - mean) / scale)
     return centered, mean, scale
 
 
@@ -240,8 +234,8 @@ def train(data, arch, config):
             with np.errstate(all="ignore"):
                 try:
                     p = unpack_params(vec, _template, config)
-                    f = mfgp.nll(p, centered)
-                    g = pack_gradient(mfgp.nll_gradient(p, centered), p, config)
+                    grad = mfgp.nll_gradient(p, centered)
+                    f, g = grad.nll, pack_gradient(grad, p, config)
                 except NotPositiveDefiniteError:
                     return _PENALTY, np.zeros(vec.size)
                 if not (np.isfinite(f) and np.all(np.isfinite(g))):

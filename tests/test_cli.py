@@ -185,6 +185,15 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "generate", "--kind", "step")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--restarts", "0"], ["--freeze-noise", "--noise-variance", "0"]]
+    )
+    def test_invalid_training_config(self, small_pipeline, capsys, flags):
+        root, data, _ = small_pipeline
+        code, _, err = run(capsys, "train", "--data", str(data), *flags, "--out", str(root / "m.json"))
+        assert code == 1
+        assert "error" in err
+
     def test_bad_arch(self, small_pipeline, capsys):
         root, data, _ = small_pipeline
         code, _, _ = run(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmfgp.kernel import KernelParams, gram, gram_grad_hyper, gram_grad_inputs, se_ard_eval
+from dmfgp.kernel import KernelParams, gram, gram_grad_hyper, gram_grad_inputs
 
 from oracles import central_difference, se_kernel_matrix
 
@@ -14,29 +14,6 @@ def random_params(rng, D):
     return KernelParams(rng.normal(0, 0.5), rng.normal(0, 0.5, D))
 
 
-class TestSeArdEval:
-    def test_zero_distance_gives_signal_variance(self):
-        assert se_ard_eval(unit_params(), [0.0], [0.0]) == pytest.approx(1.0)
-
-    def test_unit_distance(self):
-        assert se_ard_eval(unit_params(), [0.0], [1.0]) == pytest.approx(np.exp(-0.5))
-
-    def test_two_dimensional_value(self):
-        p = KernelParams(np.log(4.0), np.log([1.0, 2.0]))
-        # sigma_f = 2, ell = (1, 2): 4 * exp(-0.5 * (1 + 1)) = 4 e^-1
-        assert se_ard_eval(p, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(4 * np.exp(-1.0))
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(0)
-        p = random_params(rng, 3)
-        u, v = rng.normal(size=3), rng.normal(size=3)
-        assert se_ard_eval(p, u, v) == se_ard_eval(p, v, u)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            se_ard_eval(unit_params(2), [0.0], [0.0])
-
-
 class TestGram:
     def test_single_point(self):
         np.testing.assert_allclose(gram(unit_params(), [[0.0]], [[0.0]]), [[1.0]])
@@ -45,6 +22,11 @@ class TestGram:
         K = gram(unit_params(), [[0.0], [1.0]], [[0.0], [1.0]])
         e = np.exp(-0.5)
         np.testing.assert_allclose(K, [[1.0, e], [e, 1.0]])
+
+    def test_two_dimensional_value(self):
+        p = KernelParams(np.log(4.0), np.log([1.0, 2.0]))
+        # sigma_f = 2, ell = (1, 2): 4 * exp(-0.5 * (1 + 1)) = 4 e^-1
+        assert gram(p, [[0.0, 0.0]], [[1.0, 2.0]])[0, 0] == pytest.approx(4 * np.exp(-1.0))
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)

@@ -61,10 +61,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[0.0], [np.nan]], [0.0, 1.0], [[0.0]], [0.0])
 
-    def test_warns_when_high_fidelity_not_scarce(self):
-        with pytest.warns(UserWarning):
-            Dataset(np.zeros((2, 1)), np.zeros(2), np.ones((2, 1)), np.zeros(2))
-
     def test_shapes_and_concatenation(self):
         d = random_data(0)
         assert d.n1 == 7 and d.n2 == 3 and d.d_in == 1
@@ -105,8 +101,8 @@ class TestJointCovariance:
         )
         data = random_data(1)
         b = assemble(params, data, jitter=JITTER)
-        np.testing.assert_array_equal(b.H1, fm.forward(arch, fmap, data.x1))
-        np.testing.assert_array_equal(b.H2, fm.forward(arch, fmap, data.x2))
+        np.testing.assert_array_equal(b.H[: data.n1], fm.forward(arch, fmap, data.x1))
+        np.testing.assert_array_equal(b.H[data.n1 :], fm.forward(arch, fmap, data.x2))
 
     def test_raises_on_overflowing_parameters(self):
         params = ar1_model()
@@ -167,6 +163,12 @@ class TestNllGradient:
         assert g.log_noise1 == pytest.approx(self.fd(with_n1, params, data), rel=1e-5, abs=1e-7)
         assert g.k1[0] == pytest.approx(self.fd(with_sv1, params, data), rel=1e-5, abs=1e-7)
         assert g.k2[1] == pytest.approx(self.fd(with_ls2, params, data), rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("jitter", [JITTER, None])
+    def test_carries_the_nll_it_was_taken_at(self, jitter):
+        params = ar1_model(rho=0.9)
+        data = random_data(8)
+        assert nll_gradient(params, data, jitter=jitter).nll == nll(params, data, jitter=jitter)
 
     def test_frozen_map_gradient_is_zero(self):
         params = ar1_model()

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import dmfgp.feature_map as fm
+from dmfgp import mfgp, trainer
 from dmfgp.feature_map import LayerSpec
 from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import Dataset, ModelParams, nll, nll_gradient, sample_prior
 from dmfgp.trainer import (
+    _PENALTY,
     TrainConfig,
+    _minimize_restart,
     center_targets,
     gradient_check,
     init_params,
@@ -182,6 +185,37 @@ class TestTrain:
         bad = [LayerSpec(2, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
         with pytest.raises(ValueError):
             train(data, bad, TrainConfig(seed=0, restarts=1))
+
+
+class TestMinimizeRestart:
+    def test_objective_runs_once_per_scipy_evaluation(self, monkeypatch):
+        calls, nfev = [], []
+        real_gradient, real_minimize = mfgp.nll_gradient, trainer.minimize
+
+        def counting_gradient(*args, **kwargs):
+            calls.append(None)
+            return real_gradient(*args, **kwargs)
+
+        def recording_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(mfgp, "nll_gradient", counting_gradient)
+        monkeypatch.setattr(trainer, "minimize", recording_minimize)
+        train(prior_data(12), ARCH, TrainConfig(seed=12, restarts=2, max_iterations=30))
+        assert len(nfev) == 2
+        assert len(calls) == sum(nfev)
+
+    def test_infeasible_start_is_reported(self):
+        calls = []
+
+        def penalised(x):
+            calls.append(None)
+            return _PENALTY, np.zeros(x.size)
+
+        assert _minimize_restart(penalised, np.zeros(3), 100, 1e-6) is None
+        assert len(calls) == 1
 
 
 class TestGradientCheck:
