@@ -5,6 +5,8 @@ with exact marginal-likelihood training; the classical AR(1) co-kriging
 model is recovered by freezing the feature map to the identity.
 """
 
+import importlib
+
 from .benchmarks import BenchmarkSpec, Metrics, generate, metrics
 from .feature_map import FeatureMapParams, LayerSpec, identity_map
 from .kernel import KernelParams
@@ -13,13 +15,13 @@ from .mfgp import (
     ModelParams,
     NotPositiveDefiniteError,
     PosteriorPrediction,
+    TrainingFailedError,
     nll,
     nll_gradient,
     predict,
     sample_prior,
 )
 from .model import FittedModel, from_report, load_model, save_model
-from .trainer import TrainConfig, TrainReport, TrainingFailedError, gradient_check, train
 
 __all__ = [
     "BenchmarkSpec",
@@ -37,7 +39,6 @@ __all__ = [
     "TrainingFailedError",
     "from_report",
     "generate",
-    "gradient_check",
     "identity_map",
     "load_model",
     "metrics",
@@ -48,3 +49,12 @@ __all__ = [
     "save_model",
     "train",
 ]
+
+
+def __getattr__(name):
+    # The trainer pulls in scipy.optimize, which only training needs; load it
+    # on first use so that importing dmfgp to predict stays cheap.
+    if name in ("trainer", "TrainConfig", "TrainReport", "train"):
+        trainer = importlib.import_module(".trainer", __name__)
+        return trainer if name == "trainer" else getattr(trainer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

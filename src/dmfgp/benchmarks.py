@@ -48,11 +48,15 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown benchmark kind {self.kind!r}; expected one of {KINDS}")
+        if not self.noise_sd >= 0:  # also rejects NaN
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         d1, d2 = _DEFAULT_SIZES[self.kind]
         if self.n1 is None:
             self.n1 = d1
         if self.n2 is None:
             self.n2 = d2
+        if self.n1 < 1 or self.n2 < 1:
+            raise ValueError(f"n1 and n2 must be >= 1, got n1={self.n1}, n2={self.n2}")
         if self.n1 + self.n2 > N_CANDIDATES:
             raise ValueError("n1 + n2 cannot exceed the 200 candidate points")
 

@@ -12,11 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, io, model, trainer
+from . import benchmarks, io, model
 from .benchmarks import BenchmarkSpec
 from .feature_map import LayerSpec
-from .mfgp import NotPositiveDefiniteError
-from .trainer import TrainConfig, TrainingFailedError
+from .mfgp import NotPositiveDefiniteError, TrainingFailedError
 
 __all__ = ["main"]
 
@@ -67,13 +66,16 @@ def _default_test_path(out):
 
 
 def cmd_generate(args):
-    spec = BenchmarkSpec(
-        _KIND_ALIASES[args.kind],
-        seed=args.seed,
-        n1=args.n1,
-        n2=args.n2,
-        noise_sd=args.noise_sd,
-    )
+    try:
+        spec = BenchmarkSpec(
+            _KIND_ALIASES[args.kind],
+            seed=args.seed,
+            n1=args.n1,
+            n2=args.n2,
+            noise_sd=args.noise_sd,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     data, grid, truth = benchmarks.generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -86,9 +88,12 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
+    # imported here, not at the top: only training needs scipy.optimize
+    from . import trainer
+
     baseline = args.baseline == "ar1"
     try:
-        config = TrainConfig(
+        config = trainer.TrainConfig(
             restarts=args.restarts,
             max_iterations=args.max_iterations,
             seed=args.seed,
@@ -129,6 +134,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    if args.grid is not None and args.grid < 1:
+        raise UsageError(f"--grid must be >= 1, got {args.grid}")
     fitted = model.load_model(args.model)
     if args.queries is not None:
         X = io.read_queries(args.queries)

@@ -29,6 +29,7 @@ __all__ = [
     "GramBundle",
     "PosteriorPrediction",
     "NotPositiveDefiniteError",
+    "TrainingFailedError",
     "NOISE_FLOOR",
     "noise_variance",
     "assemble",
@@ -51,6 +52,10 @@ class NotPositiveDefiniteError(RuntimeError):
             f"covariance matrix is not positive definite (final jitter tried: {final_jitter:g})"
         )
         self.final_jitter = final_jitter
+
+
+class TrainingFailedError(RuntimeError):
+    """Every training restart started from a non-positive-definite covariance."""
 
 
 @dataclass

@@ -17,25 +17,19 @@ from scipy.optimize import minimize
 from . import feature_map as fm
 from . import mfgp
 from .kernel import KernelParams
-from .mfgp import Dataset, ModelParams, NotPositiveDefiniteError
+from .mfgp import Dataset, ModelParams, NotPositiveDefiniteError, TrainingFailedError
 
 __all__ = [
     "TrainConfig",
     "RestartResult",
     "TrainReport",
     "TrainingFailedError",
-    "GradientCheckReport",
     "init_params",
     "train",
-    "gradient_check",
     "pack_params",
     "unpack_params",
     "pack_gradient",
 ]
-
-
-class TrainingFailedError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -262,50 +256,3 @@ def train(data, arch, config):
         )
     return TrainReport(best[1], best[0], results, mean, scale, config)
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-@dataclass
-class GradientCheckReport:
-    analytic: np.ndarray
-    finite_difference: np.ndarray
-    rel_errors: np.ndarray
-    max_rel_error: float
-
-
-def finite_difference_gradient(func, x, step=1e-6):
-    """Central finite differences of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        xp = x.copy(); xp[j] += step
-        xm = x.copy(); xm[j] -= step
-        g[j] = (func(xp) - func(xm)) / (2.0 * step)
-    return g
-
-
-def gradient_check(data, arch, seed, config=None, step=1e-4):
-    """Compare the analytic NLL gradient against central finite differences.
-
-    Small instances only (n1 + n2 <= 20 recommended); per-component errors
-    are scaled by max(|analytic|, |fd|, 1e-2) so that near-zero components
-    are judged on an absolute 1e-7 scale at the 1e-5 relative tolerance.
-    The default step balances truncation against the Cholesky roundoff
-    floor of the NLL evaluation (smaller steps only amplify roundoff).
-    """
-    if config is None:
-        config = TrainConfig(seed=seed, restarts=1)
-    centered, _, _ = center_targets(data)
-    params = init_params(arch, config, 0)
-
-    def value(vec):
-        return mfgp.nll(unpack_params(vec, params, config), centered)
-
-    x0 = pack_params(params, config)
-    analytic = pack_gradient(mfgp.nll_gradient(params, centered), params, config)
-    fd = finite_difference_gradient(value, x0, step)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-2)
-    rel = np.abs(analytic - fd) / denom
-    return GradientCheckReport(analytic, fd, rel, float(np.max(rel)))

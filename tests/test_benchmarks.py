@@ -30,6 +30,16 @@ class TestBenchmarkSpec:
         with pytest.raises(ValueError):
             BenchmarkSpec("step", n1=150, n2=100)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n1": 0}, {"n2": 0}, {"n1": -5}, {"noise_sd": -1.0}, {"noise_sd": float("nan")}]
+    )
+    def test_rejects_invalid_sizes_and_noise(self, kwargs):
+        with pytest.raises(ValueError):
+            BenchmarkSpec("step", **kwargs)
+
+    def test_accepts_zero_noise(self):
+        assert BenchmarkSpec("step", noise_sd=0.0).noise_sd == 0.0
+
 
 class TestCandidatePoints:
     @pytest.mark.parametrize("kind,lo,mid_lo,mid_hi,hi", [

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmfgp
 from dmfgp import io, model
 from dmfgp.cli import main, parse_arch
 from dmfgp.feature_map import LayerSpec
+from dmfgp.mfgp import NotPositiveDefiniteError, TrainingFailedError
 
 
 def run(capsys, *argv):
@@ -194,6 +201,33 @@ class TestUsageErrors:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--noise-sd", "-1"],
+            ["--n1", "-5"],
+            ["--n1", "0"],
+            ["--n2", "0"],
+            ["--n1", "300"],
+        ],
+        ids=["negative-noise", "negative-n1", "zero-n1", "zero-n2", "too-many-points"],
+    )
+    def test_invalid_generate_spec(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "generate", "--kind", "step", *flags, "--out", str(out))
+        assert code == 1
+        assert "error" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_invalid_grid(self, small_pipeline, capsys, grid):
+        root, _, mdl = small_pipeline
+        out = root / "bad_grid.csv"
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--grid", grid, "--out", str(out))
+        assert code == 1
+        assert "error" in err
+        assert not out.exists()
+
     def test_bad_arch(self, small_pipeline, capsys):
         root, data, _ = small_pipeline
         code, _, _ = run(
@@ -201,3 +235,75 @@ class TestUsageErrors:
             "--out", str(root / "m.json"),
         )
         assert code == 1
+
+
+class TestNumericalFailure:
+    def test_training_failure_exits_3(self, small_pipeline, capsys, monkeypatch):
+        root, data, _ = small_pipeline
+
+        def failing_train(*args, **kwargs):
+            raise TrainingFailedError("all 1 restarts failed")
+
+        monkeypatch.setattr(dmfgp.trainer, "train", failing_train)
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(root / "failed.json"))
+        assert code == 3
+        assert "numerical failure" in err
+
+    def test_prediction_failure_exits_3(self, small_pipeline, capsys, monkeypatch):
+        root, _, mdl = small_pipeline
+
+        def failing_predict(self, X):
+            raise NotPositiveDefiniteError(1.0)
+
+        monkeypatch.setattr(model.FittedModel, "predict", failing_predict)
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--grid", "5", "--out", str(root / "p3.csv"))
+        assert code == 3
+        assert "numerical failure" in err
+
+
+def test_serving_commands_do_not_load_the_optimizer(small_pipeline):
+    # A fresh interpreter, because this test session has imported the trainer.
+    root, _, mdl = small_pipeline
+    script = textwrap.dedent(
+        """
+        import sys
+        import dmfgp, dmfgp.cli
+
+        root, mdl = sys.argv[1], sys.argv[2]
+        assert dmfgp.cli.main(["generate", "--kind", "step", "--seed", "1",
+                               "--out", root + "/fresh.csv"]) == 0
+        assert dmfgp.cli.main(["predict", "--model", mdl, "--grid", "7",
+                               "--out", root + "/fresh_pred.csv"]) == 0
+        assert dmfgp.cli.main(["evaluate", "--model", mdl, "--test", root + "/fresh_test.csv",
+                               "--out", root + "/fresh_metrics.json"]) == 0
+        assert "scipy.optimize" not in sys.modules, "serving loaded scipy.optimize"
+        assert "dmfgp.trainer" not in sys.modules
+
+        assert dmfgp.train is dmfgp.trainer.train
+        assert dmfgp.TrainConfig is dmfgp.trainer.TrainConfig
+        assert dmfgp.TrainReport is dmfgp.trainer.TrainReport
+        assert dmfgp.trainer.TrainingFailedError is dmfgp.mfgp.TrainingFailedError
+        assert dmfgp.TrainingFailedError is dmfgp.mfgp.TrainingFailedError
+        try:
+            dmfgp.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("dmfgp.no_such_name did not raise AttributeError")
+
+        namespace = {}
+        exec("from dmfgp import *", namespace)
+        missing = [name for name in dmfgp.__all__ if name not in namespace]
+        assert not missing, missing
+        print("ok")
+        """
+    )
+    src = str(Path(dmfgp.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root), str(mdl)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("ok")
