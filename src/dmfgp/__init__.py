@@ -2,7 +2,7 @@
 
 Two-fidelity GP regression over a jointly-trained multilayer feature map,
 with exact marginal-likelihood training; the classical AR(1) co-kriging
-model is recovered by freezing the feature map to the identity.
+model is recovered with the zero-layer feature map h(x) = x.
 """
 
 import importlib

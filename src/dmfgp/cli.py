@@ -39,8 +39,8 @@ def parse_arch(text, d_in):
     """Parse an architecture string like "3-2" into a layer list.
 
     Hidden widths use the sigmoid transfer and the final width an affine
-    (identity) output layer. "identity" selects the frozen identity map
-    (AR(1) baseline).
+    (identity) output layer. "identity" selects the AR(1) baseline, whose
+    map has no layers, and returns None.
     """
     text = text.strip().lower()
     if text == "identity":
@@ -91,7 +91,7 @@ def cmd_train(args):
     # imported here, not at the top: only training needs scipy.optimize
     from . import trainer
 
-    baseline = args.baseline == "ar1"
+    baseline = args.baseline == "ar1" or args.arch.strip().lower() == "identity"
     try:
         config = trainer.TrainConfig(
             restarts=args.restarts,
@@ -104,12 +104,8 @@ def cmd_train(args):
     except ValueError as e:
         raise UsageError(str(e)) from None
     data = io.read_dataset(args.data)
-    arch = parse_arch(args.arch, data.d_in)
-    if arch is None:
-        baseline = True
-        config.freeze_feature_map = True
-    if config.freeze_feature_map:
-        arch = [LayerSpec(data.d_in, data.d_in, "identity")]
+    # the baseline trains the zero-layer map and reads only the input width
+    arch = parse_arch(args.arch, data.d_in) or [LayerSpec(data.d_in, data.d_in, "identity")]
     report = trainer.train(data, arch, config)
     fitted = model.from_report(report, data, {"baseline": "ar1" if baseline else None})
     out = Path(args.out)
@@ -141,7 +137,9 @@ def cmd_predict(args):
         X = io.read_queries(args.queries)
     else:
         if fitted.d_in != 1:
-            raise ValueError("--grid is only supported for 1-D inputs; use --queries")
+            raise UsageError(
+                f"--grid needs a model with 1-D inputs, this one has {fitted.d_in}; use --queries"
+            )
         xall = np.vstack([fitted.data.x1, fitted.data.x2])
         X = np.linspace(xall.min(), xall.max(), args.grid).reshape(-1, 1)
     if X.shape[1] != fitted.d_in:

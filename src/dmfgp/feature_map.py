@@ -4,6 +4,9 @@ Each layer computes sigma(W z + b) where sigma is either the logistic
 sigmoid or the identity. The map is deterministic; activations are
 recomputed during the backward pass rather than cached, since layer widths
 are tiny at the scales this library targets.
+
+The composition of no layers is h(x) = x, with nothing to train: the
+zero-layer map is the AR(1) co-kriging baseline (see identity_map).
 """
 
 from dataclasses import dataclass, field
@@ -37,26 +40,13 @@ class LayerSpec:
 
 @dataclass
 class FeatureMapParams:
-    """Per-layer weights (output_width x input_width) and biases (output_width,).
-
-    ``trainable=False`` marks the map as frozen (the identity baseline);
-    the trainer then excludes these parameters from optimization.
-    """
+    """Per-layer weights (output_width x input_width) and biases (output_width,)."""
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-    trainable: bool = True
 
     def copy(self):
-        return FeatureMapParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.trainable,
-        )
-
-    @property
-    def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return FeatureMapParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 @dataclass
@@ -69,12 +59,10 @@ class FeatureMapGrad:
 
 def _validate(arch, params, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not arch:
-        raise ValueError("architecture must have at least one layer")
     for a, b in zip(arch[:-1], arch[1:]):
         if a.output_width != b.input_width:
             raise ValueError(f"layer widths do not chain: {a.output_width} -> {b.input_width}")
-    if X.shape[1] != arch[0].input_width:
+    if arch and X.shape[1] != arch[0].input_width:
         raise ValueError(
             f"input has {X.shape[1]} columns, first layer expects {arch[0].input_width}"
         )
@@ -108,6 +96,10 @@ def _forward_pass(arch, params, X):
 def forward(arch, params, X):
     """Apply the feature map rowwise: returns h(X) with shape (n, D_out)."""
     X = _validate(arch, params, X)
+    if not arch:
+        # a new array, never the caller's, with -0.0 read as +0.0: the bits
+        # of the one-layer affine identity map, X @ I + 0
+        return X + 0.0
     return _forward_pass(arch, params, X)[-1]
 
 
@@ -146,9 +138,8 @@ def backward(arch, params, X, H_adjoint):
 
 
 def identity_map(D):
-    """Architecture and frozen parameters realizing h(x) = x on R^D."""
+    """Architecture and parameters realizing h(x) = x on R^D: the zero-layer
+    map, which has nothing to train."""
     if D < 1:
         raise ValueError("D must be >= 1")
-    arch = [LayerSpec(D, D, "identity")]
-    params = FeatureMapParams([np.eye(D)], [np.zeros(D)], trainable=False)
-    return arch, params
+    return [], FeatureMapParams()

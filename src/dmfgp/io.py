@@ -100,18 +100,24 @@ def read_test_grid(path):
 
 
 def read_queries(path):
-    """Query file: either x0,...,x{D-1} columns or a dataset/test CSV."""
+    """Query file: either x0,...,x{D-1} columns or a dataset/test CSV, with
+    at least one row and only finite values."""
     with open(path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
+        body = fh.read()
     if header is None:
         raise ValueError(f"{path}: empty file")
     if header[0] == "fidelity":
         X, _ = read_test_grid(path)
-        return X
-    if not all(h.startswith("x") for h in header):
+    elif not all(h.startswith("x") for h in header):
         raise ValueError(f"{path}: expected columns x0,...,x{{D-1}}, got {header}")
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return body[:, : len(header)]
+    elif not body.strip():
+        raise ValueError(f"{path}: no query rows")
+    else:
+        X = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)[:, : len(header)]
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{path}: queries contain non-finite values")
+    return X
 
 
 def write_predictions(path, X, mean, std, features):

@@ -49,11 +49,6 @@ class KernelParams:
     def lengthscales(self):
         return np.exp(self.log_lengthscales)
 
-    @property
-    def n_params(self):
-        # signal variance plus one lengthscale per dimension
-        return 1 + self.dim
-
     def to_vector(self):
         return np.concatenate(([self.log_signal_variance], self.log_lengthscales))
 

@@ -110,7 +110,8 @@ class ModelParams:
     log_noise2: float = np.log(1e-4)
 
     def __post_init__(self):
-        d_out = self.arch[-1].output_width
+        # with no layers the features are the inputs, whose width the data sets
+        d_out = self.arch[-1].output_width if self.arch else self.k1.dim
         if self.k1.dim != d_out or self.k2.dim != d_out:
             raise ValueError(
                 f"kernel dimension ({self.k1.dim}, {self.k2.dim}) must equal "
@@ -252,8 +253,8 @@ def nll_gradient(params, data, jitter=None):
     fidelity blocks of K, where k1 enters as [[G, rho G], [rho G, rho^2 G]]
     and k2 as the high-fidelity block; each block is a slice of one Gram (or
     Gram derivative) per kernel over H. The feature adjoint dL/dH is pushed
-    through the feature map by backpropagation. The feature-map gradient is
-    zero when the map is frozen (identity baseline).
+    through the feature map by backpropagation; the zero-layer map (the
+    AR(1) baseline) has no parameters, and skips both.
 
     The k1 terms are summed block by block rather than as one contraction
     against A * r r^T: the two orders differ at roundoff, and the optimizer
@@ -303,7 +304,8 @@ def nll_gradient(params, data, jitter=None):
         d_n1 += trA * scale * float(np.exp(params.log_noise1)) * n1 / n
         d_n2 += trA * scale * float(np.exp(params.log_noise2)) * n2 / n
 
-    if params.fmap.trainable:
+    d_fmap = fm.FeatureMapGrad([], [])
+    if params.arch:
         T1 = kern.gram_grad_inputs(params.k1, H, H)
         dH1, dH2 = np.zeros_like(H[lo]), np.zeros_like(H2)
         # diagonal block k1(H1, H1): H1 enters on both sides
@@ -325,11 +327,6 @@ def nll_gradient(params, data, jitter=None):
         d_fmap = fm.FeatureMapGrad(
             [a + c for a, c in zip(g_lo.weights, g_hi.weights)],
             [a + c for a, c in zip(g_lo.biases, g_hi.biases)],
-        )
-    else:
-        d_fmap = fm.FeatureMapGrad(
-            [np.zeros_like(w) for w in params.fmap.weights],
-            [np.zeros_like(bi) for bi in params.fmap.biases],
         )
 
     return ModelGradient(float(d_rho), d_k1, d_k2, d_fmap, d_n1, d_n2, _nll_of(b, data.f))

@@ -121,7 +121,6 @@ def save_model(model, path):
             "fmap": {
                 "weights": [w.tolist() for w in p.fmap.weights],
                 "biases": [b.tolist() for b in p.fmap.biases],
-                "trainable": p.fmap.trainable,
             },
         },
         "centering": {"mean": model.center_mean, "scale": model.center_scale},
@@ -148,7 +147,6 @@ def load_model(path):
     fmap = fm.FeatureMapParams(
         [np.asarray(w, dtype=float) for w in pd["fmap"]["weights"]],
         [np.asarray(b, dtype=float) for b in pd["fmap"]["biases"]],
-        pd["fmap"]["trainable"],
     )
     params = ModelParams(
         pd["rho"],

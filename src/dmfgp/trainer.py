@@ -38,13 +38,15 @@ class TrainConfig:
     max_iterations: int = 1000
     gradient_tolerance: float = 1e-6  # max-norm of the gradient
     seed: int = 0
-    freeze_feature_map: bool = False  # AR(1) identity-map mode
+    freeze_feature_map: bool = False  # AR(1) baseline: the zero-layer map h(x) = x
     freeze_noise: bool = False
     frozen_noise_variance: float = 1e-4  # nugget used when freeze_noise is set
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be > 0")
         if self.frozen_noise_variance <= 0:
@@ -73,19 +75,15 @@ class TrainReport:
 # parameter vector packing
 
 
-def _fmap_trainable(params, config):
-    return params.fmap.trainable and not config.freeze_feature_map
-
-
 def pack_params(params, config):
-    """Flatten the unfrozen parameters of a ModelParams into a vector."""
+    """Flatten the unfrozen parameters of a ModelParams into a vector; the
+    zero-layer map packs to nothing."""
     parts = [np.array([params.rho]), params.k1.to_vector(), params.k2.to_vector()]
     if not config.freeze_noise:
         parts.append(np.array([params.log_noise1, params.log_noise2]))
-    if _fmap_trainable(params, config):
-        for w, b in zip(params.fmap.weights, params.fmap.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
+    for w, b in zip(params.fmap.weights, params.fmap.biases):
+        parts.append(w.ravel())
+        parts.append(b.ravel())
     return np.concatenate(parts)
 
 
@@ -105,24 +103,22 @@ def unpack_params(vec, template, config):
     else:
         ln1, ln2 = float(vec[i]), float(vec[i + 1]); i += 2
     fmap = template.fmap.copy()
-    if _fmap_trainable(template, config):
-        for ell, (w, b) in enumerate(zip(fmap.weights, fmap.biases)):
-            fmap.weights[ell] = vec[i : i + w.size].reshape(w.shape); i += w.size
-            fmap.biases[ell] = vec[i : i + b.size].copy(); i += b.size
+    for ell, (w, b) in enumerate(zip(fmap.weights, fmap.biases)):
+        fmap.weights[ell] = vec[i : i + w.size].reshape(w.shape); i += w.size
+        fmap.biases[ell] = vec[i : i + b.size].copy(); i += b.size
     if i != vec.size:
         raise ValueError(f"parameter vector has {vec.size} entries, expected {i}")
     return ModelParams(rho, k1, k2, list(template.arch), fmap, ln1, ln2)
 
 
-def pack_gradient(grad, params, config):
+def pack_gradient(grad, config):
     """Flatten a ModelGradient consistently with pack_params."""
     parts = [np.array([grad.rho]), grad.k1, grad.k2]
     if not config.freeze_noise:
         parts.append(np.array([grad.log_noise1, grad.log_noise2]))
-    if _fmap_trainable(params, config):
-        for w, b in zip(grad.fmap.weights, grad.fmap.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
+    for w, b in zip(grad.fmap.weights, grad.fmap.biases):
+        parts.append(w.ravel())
+        parts.append(b.ravel())
     return np.concatenate(parts)
 
 
@@ -135,12 +131,14 @@ def init_params(arch, config, restart_index):
 
     Layer weights ~ N(0, 1/input_width), biases zero; unit kernel
     hyperparameters (all logs zero); rho = 1; noise variance 1e-4
-    (config.frozen_noise_variance instead when the noise is frozen).
+    (config.frozen_noise_variance instead when the noise is frozen). With
+    config.freeze_feature_map the map is the zero-layer one on arch's input
+    width (the AR(1) baseline).
     """
     rng = np.random.default_rng([config.seed, restart_index])
     if config.freeze_feature_map:
-        d_in = arch[0].input_width
-        arch, fmap = fm.identity_map(d_in)
+        D = arch[0].input_width
+        arch, fmap = fm.identity_map(D)
     else:
         weights = []
         biases = []
@@ -149,8 +147,8 @@ def init_params(arch, config, restart_index):
                 rng.normal(0.0, 1.0 / np.sqrt(spec.input_width), size=(spec.output_width, spec.input_width))
             )
             biases.append(np.zeros(spec.output_width))
-        fmap = fm.FeatureMapParams(weights, biases, trainable=True)
-    D = arch[-1].output_width
+        fmap = fm.FeatureMapParams(weights, biases)
+        D = arch[-1].output_width
     unit = KernelParams(0.0, np.zeros(D))
     noise = config.frozen_noise_variance if config.freeze_noise else 1e-4
     return ModelParams(1.0, unit, unit, list(arch), fmap, np.log(noise), np.log(noise))
@@ -213,7 +211,7 @@ def train(data, arch, config):
     Targets are centered internally (see center_targets); the reported NLLs
     refer to the centered targets. Returns the best restart.
     """
-    if not config.freeze_feature_map and arch[0].input_width != data.d_in:
+    if arch[0].input_width != data.d_in:
         raise ValueError(
             f"architecture expects {arch[0].input_width}-dim inputs, data has {data.d_in}"
         )
@@ -229,7 +227,7 @@ def train(data, arch, config):
                 try:
                     p = unpack_params(vec, _template, config)
                     grad = mfgp.nll_gradient(p, centered)
-                    f, g = grad.nll, pack_gradient(grad, p, config)
+                    f, g = grad.nll, pack_gradient(grad, config)
                 except NotPositiveDefiniteError:
                     return _PENALTY, np.zeros(vec.size)
                 if not (np.isfinite(f) and np.all(np.isfinite(g))):

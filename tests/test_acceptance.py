@@ -77,7 +77,7 @@ def test_c1_gradient_correctness():
         cfg = TrainConfig(seed=seed + 500, restarts=1)
         centered, _, _ = trainer.center_targets(data)
         params = init_params(ARCH, cfg, 0)
-        a = trainer.pack_gradient(nll_gradient(params, centered), params, cfg)
+        a = trainer.pack_gradient(nll_gradient(params, centered), cfg)
 
         def value(vec, _p=params, _d=centered, _c=cfg):
             return nll(trainer.unpack_params(vec, _p, _c), _d)

@@ -162,7 +162,7 @@ class TestGenerate:
         data, _, _ = generate(spec)
         arch = [fm.LayerSpec(1, 2, "identity")]
         # the generating map is piecewise; the nll check only needs valid params
-        fmap = fm.FeatureMapParams([np.array([[1.0], [1.0]])], [np.zeros(2)], trainable=False)
+        fmap = fm.FeatureMapParams([np.array([[1.0], [1.0]])], [np.zeros(2)])
         unit = KernelParams(0.0, np.zeros(2))
         params = ModelParams(spec.rho_true, unit, unit, arch, fmap)
         v1 = nll(params, data)

@@ -98,8 +98,41 @@ class TestTrain:
         assert code == 0
         fitted = model.load_model(out)
         assert fitted.meta["baseline"] == "ar1"
-        assert [s.transfer for s in fitted.params.arch] == ["identity"]
-        assert fitted.params.fmap.trainable is False
+        # the AR(1) baseline is the zero-layer map h(x) = x
+        assert fitted.params.arch == []
+        assert fitted.params.fmap.weights == [] and fitted.params.fmap.biases == []
+
+    def test_identity_arch_is_the_baseline(self, small_pipeline, capsys):
+        root, data, _ = small_pipeline
+        a, b = root / "ar1_flag.json", root / "ar1_arch.json"
+        args = ["train", "--data", str(data), "--restarts", "2", "--max-iterations", "40"]
+        assert run(capsys, *args, "--baseline", "ar1", "--out", str(a))[0] == 0
+        assert run(capsys, *args, "--arch", "identity", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_old_format_baseline_predicts_identically(self, small_pipeline, capsys):
+        # model files once stored the baseline as one frozen affine identity layer
+        root, data, _ = small_pipeline
+        new = root / "ar1_new.json"
+        assert run(
+            capsys, "train", "--data", str(data), "--baseline", "ar1",
+            "--restarts", "1", "--max-iterations", "60", "--out", str(new),
+        )[0] == 0
+        doc = json.loads(new.read_text())
+        doc["arch"] = [{"input_width": 1, "output_width": 1, "transfer": "identity"}]
+        doc["params"]["fmap"] = {"weights": [[[1.0]]], "biases": [[0.0]], "trainable": False}
+        old = root / "ar1_old.json"
+        old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        q = root / "q_old_new.csv"
+        q.write_text("x0\n-0.0\n0.25\n1.0\n1.75\n")
+        for mode in (["--grid", "50"], ["--queries", str(q)]):
+            outs = []
+            for mdl in (new, old):
+                out = root / f"pred_{mdl.stem}.csv"
+                assert run(capsys, "predict", "--model", str(mdl), *mode, "--out", str(out))[0] == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+        assert model.load_model(old).nll() == model.load_model(new).nll()
 
     def test_deterministic_model_file(self, small_pipeline, capsys):
         root, data, _ = small_pipeline
@@ -138,6 +171,21 @@ class TestPredict:
         code, _, _ = run(capsys, "predict", "--model", str(mdl), "--queries", str(q), "--out", str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x0\n", "x0\n0.5\nnan\n", "x0\n0.5\ninf\n", "fidelity,x0,y\n", "fidelity,x0,y\n2,nan,0.0\n"],
+        ids=["header-only", "nan", "inf", "header-only-test-grid", "nan-test-grid"],
+    )
+    def test_rejects_empty_or_nonfinite_queries(self, small_pipeline, tmp_path, capsys, text):
+        _, _, mdl = small_pipeline
+        q = tmp_path / "bad_queries.csv"
+        q.write_text(text)
+        out = tmp_path / "pred_bad.csv"
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--queries", str(q), "--out", str(out))
+        assert code == 2
+        assert str(q) in err
+        assert not out.exists()
 
     def test_missing_model(self, tmp_path, capsys):
         code, _, _ = run(
@@ -193,7 +241,13 @@ class TestUsageErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "flags", [["--restarts", "0"], ["--freeze-noise", "--noise-variance", "0"]]
+        "flags",
+        [
+            ["--restarts", "0"],
+            ["--freeze-noise", "--noise-variance", "0"],
+            ["--max-iterations", "0"],
+            ["--max-iterations", "-5"],
+        ],
     )
     def test_invalid_training_config(self, small_pipeline, capsys, flags):
         root, data, _ = small_pipeline
@@ -226,6 +280,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, "predict", "--model", str(mdl), "--grid", grid, "--out", str(out))
         assert code == 1
         assert "error" in err
+        assert not out.exists()
+
+    def test_grid_needs_one_dimensional_inputs(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "two_d.csv"
+        io.write_dataset(data, dmfgp.Dataset(rng.uniform(size=(6, 2)), rng.normal(size=6),
+                                             rng.uniform(size=(3, 2)), rng.normal(size=3)))
+        mdl = tmp_path / "two_d.json"
+        assert run(
+            capsys, "train", "--data", str(data), "--baseline", "ar1",
+            "--restarts", "1", "--max-iterations", "5", "--out", str(mdl),
+        )[0] == 0
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--grid", "5", "--out", str(out))
+        assert code == 1
+        assert "--queries" in err
         assert not out.exists()
 
     def test_bad_arch(self, small_pipeline, capsys):

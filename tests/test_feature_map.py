@@ -67,8 +67,25 @@ class TestForward:
         np.testing.assert_array_equal(forward(arch, params, X), X)
 
     def test_identity_map_frozen(self):
-        _, params = identity_map(2)
-        assert params.trainable is False
+        # the identity is the zero-layer map: nothing to train
+        arch, params = identity_map(2)
+        assert arch == []
+        assert params.weights == [] and params.biases == []
+
+    def test_identity_map_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            identity_map(0)
+
+    def test_zero_layers_match_one_affine_identity_layer(self):
+        # bit for bit, -0.0 -> +0.0 included, and never the caller's array
+        X = np.random.default_rng(5).normal(size=(6, 3))
+        X[0, 1], X[2, 0] = -0.0, 0.0
+        arch, params = identity_map(3)
+        out = forward(arch, params, X)
+        one = forward([LayerSpec(3, 3, "identity")], FeatureMapParams([np.eye(3)], [np.zeros(3)]), X)
+        assert out.tobytes() == one.tobytes()
+        assert not np.signbit(out[0, 1])
+        assert out is not X and not np.shares_memory(out, X)
 
     def test_single_sigmoid_layer_hand_value(self):
         arch = [LayerSpec(1, 1, "sigmoid")]
@@ -112,7 +129,8 @@ class TestForward:
             forward(arch, params, np.zeros((2, 1)))
 
     def test_rejects_wrong_input_width(self):
-        arch, params = identity_map(2)
+        arch = [LayerSpec(2, 2, "identity")]
+        params = FeatureMapParams([np.eye(2)], [np.zeros(2)])
         with pytest.raises(ValueError):
             forward(arch, params, np.zeros((2, 3)))
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import dmfgp.feature_map as fm
 from dmfgp import mfgp, trainer
 from dmfgp.feature_map import LayerSpec
 from dmfgp.kernel import KernelParams
@@ -39,6 +38,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(restarts=0)
 
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_rejects_nonpositive_max_iterations(self, iterations):
+        with pytest.raises(ValueError):
+            TrainConfig(max_iterations=iterations)
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             TrainConfig(gradient_tolerance=0.0)
@@ -74,9 +78,11 @@ class TestInitParams:
         assert np.std(p.fmap.weights[0]) == pytest.approx(0.1, rel=0.1)
 
     def test_identity_mode_frozen(self):
+        # the baseline is the zero-layer map on ARCH's input width
         p = init_params(ARCH, TrainConfig(seed=0, freeze_feature_map=True), 0)
-        assert p.fmap.trainable is False
-        np.testing.assert_array_equal(p.fmap.weights[0], np.eye(1))
+        assert p.arch == []
+        assert p.fmap.weights == [] and p.fmap.biases == []
+        assert p.k1.dim == p.k2.dim == ARCH[0].input_width
 
 
 class TestPacking:
@@ -103,7 +109,7 @@ class TestPacking:
         cfg = TrainConfig(seed=2)
         p = init_params(ARCH, cfg, 0)
         data = prior_data(0)
-        g = pack_gradient(nll_gradient(p, data), p, cfg)
+        g = pack_gradient(nll_gradient(p, data), cfg)
         assert g.shape == pack_params(p, cfg).shape
 
     def test_wrong_length_rejected(self):
@@ -170,14 +176,14 @@ class TestTrain:
         # best params come from some restart; check the tolerance claim on the best
         best = min(report.per_restart, key=lambda r: r.final_nll)
         if best.converged:
-            g = pack_gradient(nll_gradient(report.best_params, centered), report.best_params, cfg)
+            g = pack_gradient(nll_gradient(report.best_params, centered), cfg)
             assert np.max(np.abs(g)) < cfg.gradient_tolerance
 
     def test_identity_baseline_equals_frozen_map_training(self):
         data = prior_data(8)
         cfg = TrainConfig(seed=8, restarts=2, max_iterations=200, freeze_feature_map=True)
         report = train(data, ARCH, cfg)
-        assert report.best_params.fmap.trainable is False
+        assert report.best_params.arch == []
         # one feature dimension: the identity map on 1-d inputs
         assert report.best_params.k1.dim == 1
 
@@ -229,7 +235,7 @@ def max_gradient_error(data, arch, config):
     """
     centered, _, _ = center_targets(data)
     params = init_params(arch, config, 0)
-    analytic = pack_gradient(nll_gradient(params, centered), params, config)
+    analytic = pack_gradient(nll_gradient(params, centered), config)
     fd = central_difference(
         lambda vec: nll(unpack_params(vec, params, config), centered),
         pack_params(params, config),
@@ -244,9 +250,8 @@ class TestGradientCheck:
         assert max_gradient_error(prior_data(10), ARCH, cfg) < 1e-5
 
     def test_identity_map(self):
-        arch, _ = fm.identity_map(1)
         cfg = TrainConfig(seed=11, restarts=1, freeze_feature_map=True)
-        assert max_gradient_error(prior_data(11), arch, cfg) < 1e-7
+        assert max_gradient_error(prior_data(11), ARCH, cfg) < 1e-7
 
     def test_zero_targets_keep_logdet_gradient(self):
         # with f = 0 the quadratic term vanishes; only log-det remains, and its
