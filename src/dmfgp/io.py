@@ -6,6 +6,7 @@ doubles round-trip losslessly. Files are UTF-8 with LF line endings.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -64,6 +65,8 @@ def _read_fidelity_rows(path):
                 raise ValueError(f"{path}:{lineno}: {e}") from None
             if fid not in (1, 2):
                 raise ValueError(f"{path}:{lineno}: fidelity must be 1 or 2, got {fid}")
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
             rows.append((fid, vals[:-1], vals[-1]))
     return rows, d_in
 
@@ -101,7 +104,8 @@ def read_test_grid(path):
 
 def read_queries(path):
     """Query file: either x0,...,x{D-1} columns or a dataset/test CSV, with
-    at least one row and only finite values."""
+    at least one row, as many fields per row as the header names, and only
+    finite values."""
     with open(path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         body = fh.read()
@@ -114,7 +118,12 @@ def read_queries(path):
     elif not body.strip():
         raise ValueError(f"{path}: no query rows")
     else:
-        X = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)[:, : len(header)]
+        try:
+            X = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        except ValueError as e:  # unparsable values, or rows of differing widths
+            raise ValueError(f"{path}: {e}") from None
+        if X.shape[1] != len(header):
+            raise ValueError(f"{path}: rows have {X.shape[1]} fields, the header names {len(header)}")
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{path}: queries contain non-finite values")
     return X

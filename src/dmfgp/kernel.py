@@ -71,8 +71,17 @@ def _check_dims(params, U, V):
 
 
 def _scaled_diff(params, U, V):
-    # diff[i, j, d] = (U[i, d] - V[j, d]) / ell_d
-    return (U[:, None, :] - V[None, :, :]) / params.lengthscales
+    # diff[d, i, j] = (U[i, d] - V[j, d]) / ell_d: one contiguous (n, m) plane
+    # per feature dimension, so every elementwise pass runs over n * m floats
+    # and the sum over d adds whole planes, rather than looping over D per pair
+    Ut, Vt = np.ascontiguousarray(U.T), np.ascontiguousarray(V.T)
+    return (Ut[:, :, None] - Vt[:, None, :]) / params.lengthscales[:, None, None]
+
+
+def _gram_of_squares(params, sq):
+    # the planes are added in order d = 0, 1, ..., as numpy sums a (n, m, D)
+    # array of D < 8 along its last axis, so both layouts give the same bits
+    return params.signal_variance * np.exp(-0.5 * np.sum(sq, axis=0))
 
 
 def gram(params, U, V):
@@ -88,8 +97,7 @@ def gram(params, U, V):
     ndarray, shape (n, m)
     """
     U, V = _check_dims(params, U, V)
-    diff = _scaled_diff(params, U, V)
-    return params.signal_variance * np.exp(-0.5 * np.sum(diff**2, axis=2))
+    return _gram_of_squares(params, _scaled_diff(params, U, V) ** 2)
 
 
 def gram_grad_hyper(params, U, V):
@@ -103,19 +111,21 @@ def gram_grad_hyper(params, U, V):
         d/dlog_ell_d = K * ((u_d - v_d)/ell_d)^2.
     """
     U, V = _check_dims(params, U, V)
-    diff = _scaled_diff(params, U, V)
-    sq = diff**2
-    K = params.signal_variance * np.exp(-0.5 * np.sum(sq, axis=2))
-    return [K] + [K * sq[:, :, d] for d in range(params.dim)]
+    sq = _scaled_diff(params, U, V) ** 2
+    K = _gram_of_squares(params, sq)
+    return [K] + [K * s for s in sq]
 
 
-def gram_grad_inputs(params, U, V):
-    """Derivative tensor T[i, j, d] = d gram(i, j) / d U[i, d].
+def gram_grad_inputs(params, U, V, K):
+    """Derivative tensor T[i, j, d] = d gram(i, j) / d U[i, d], given the Gram
+    K = gram(params, U, V) (for instance element 0 of gram_grad_hyper).
 
-    The derivative w.r.t. V[j, d] is -T[i, j, d].
+    The derivative w.r.t. V[j, d] is -T[i, j, d]. T is returned C-contiguous
+    in (n, m, D) order: einsum picks its summation order from the memory
+    layout, so a transposed view of the (D, n, m) planes would contract to
+    different last bits.
     """
     U, V = _check_dims(params, U, V)
-    diff = _scaled_diff(params, U, V)
-    K = params.signal_variance * np.exp(-0.5 * np.sum(diff**2, axis=2))
     # dK/dU[i,d] = K * (V[j,d] - U[i,d]) / ell_d^2
-    return K[:, :, None] * (-diff) / params.lengthscales
+    T = K * -_scaled_diff(params, U, V) / params.lengthscales[:, None, None]
+    return np.ascontiguousarray(T.transpose(1, 2, 0))

@@ -203,6 +203,23 @@ def _joint_cov(G1, G2, rho, n1):
     return K
 
 
+def _features(params, data):
+    return fm.forward(params.arch, params.fmap, np.vstack([data.x1, data.x2]))
+
+
+def _factor(params, data, H, G1, G2, jitter):
+    """The factor step shared by assemble and nll_gradient: K from the Grams
+    G1 = k1(H, H) (scaled in place) and G2 = k2(H2, H2), the noise diagonal,
+    the Cholesky factor of K and alpha."""
+    n1 = data.n1
+    K = _joint_cov(G1, G2, params.rho, n1)
+    noise1, noise2 = noise_variance(params.log_noise1), noise_variance(params.log_noise2)
+    K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n1, noise1, noise2)
+    L, j = _chol_with_escalation(K, jitter)
+    alpha = cho_solve((L, True), data.f)
+    return GramBundle(K, L, alpha, H, j)
+
+
 def assemble(params, data, jitter=None):
     """Build the joint training covariance and factorize it.
 
@@ -212,15 +229,9 @@ def assemble(params, data, jitter=None):
         Initial diagonal jitter; None selects 1e-8 * mean(diag K).
         Escalated x10 on Cholesky failure up to 1e-2 * mean(diag K).
     """
-    n1 = data.n1
-    H = fm.forward(params.arch, params.fmap, np.vstack([data.x1, data.x2]))
-    H2 = H[n1:]
-    K = _joint_cov(kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2), params.rho, n1)
-    noise1, noise2 = noise_variance(params.log_noise1), noise_variance(params.log_noise2)
-    K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n1, noise1, noise2)
-    L, j = _chol_with_escalation(K, jitter)
-    alpha = cho_solve((L, True), data.f)
-    return GramBundle(K, L, alpha, H, j)
+    H = _features(params, data)
+    H2 = H[data.n1 :]
+    return _factor(params, data, H, kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2), jitter)
 
 
 def _nll_of(b, f):
@@ -247,7 +258,7 @@ def _gram_input_adjoint(W, T):
 
 def nll_gradient(params, data, jitter=None):
     """NLL and its analytic gradient over all model parameters, from one
-    factorization of K.
+    Gram per kernel and one factorization of K.
 
     Uses dL/dK = 0.5 * (K^-1 - alpha alpha^T) and chains it through the
     fidelity blocks of K, where k1 enters as [[G, rho G], [rho G, rho^2 G]]
@@ -260,20 +271,22 @@ def nll_gradient(params, data, jitter=None):
     against A * r r^T: the two orders differ at roundoff, and the optimizer
     amplifies that into different training outcomes.
     """
-    b = assemble(params, data, jitter)
     n1, n2 = data.n1, data.n2
     n = n1 + n2
     lo, hi = slice(None, n1), slice(n1, None)
     rho = params.rho
-    H, H2 = b.H, b.H[hi]
+    H = _features(params, data)
+    H2 = H[hi]
+
+    # the first derivative gram_grad_hyper returns is the Gram itself, so it
+    # also builds K; _joint_cov scales its first Gram in place, hence the copy
+    gh1 = kern.gram_grad_hyper(params.k1, H, H)
+    gh2 = kern.gram_grad_hyper(params.k2, H2, H2)
+    b = _factor(params, data, H, gh1[0].copy(), gh2[0], jitter)
 
     Kinv = cho_solve((b.chol, True), np.eye(n))
     A = 0.5 * (Kinv - np.outer(b.alpha, b.alpha))
     A11, A12, A22 = A[lo, lo], A[lo, hi], A[hi, hi]
-
-    # the first derivative gram_grad_hyper returns is the Gram itself
-    gh1 = kern.gram_grad_hyper(params.k1, H, H)
-    gh2 = kern.gram_grad_hyper(params.k2, H2, H2)
 
     # rho appears in the off-diagonal blocks linearly and in (2,2) quadratically
     d_rho = 2.0 * np.sum(A12 * gh1[0][lo, hi]) + 2.0 * rho * np.sum(A22 * gh1[0][hi, hi])
@@ -306,7 +319,7 @@ def nll_gradient(params, data, jitter=None):
 
     d_fmap = fm.FeatureMapGrad([], [])
     if params.arch:
-        T1 = kern.gram_grad_inputs(params.k1, H, H)
+        T1 = kern.gram_grad_inputs(params.k1, H, H, gh1[0])
         dH1, dH2 = np.zeros_like(H[lo]), np.zeros_like(H2)
         # diagonal block k1(H1, H1): H1 enters on both sides
         dU, dV = _gram_input_adjoint(A11, T1[lo, lo])
@@ -318,7 +331,7 @@ def nll_gradient(params, data, jitter=None):
         # (2,2) block rho^2 * k1 + k2 on H2
         dU, dV = _gram_input_adjoint(A22, T1[hi, hi])
         dH2 += rho**2 * (dU + dV)
-        dU, dV = _gram_input_adjoint(A22, kern.gram_grad_inputs(params.k2, H2, H2))
+        dU, dV = _gram_input_adjoint(A22, kern.gram_grad_inputs(params.k2, H2, H2, gh2[0]))
         dH2 += dU + dV
         # one backward pass per fidelity: a pass over the stacked rows sums
         # the weight gradient in another order, which moves training roundoff

@@ -187,6 +187,21 @@ class TestPredict:
         assert str(q) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x0\n0.5,7\n0.7,8\n", "x0,x1\n0.5\n0.7\n", "x0\n0.5\n0.7,8\n"],
+        ids=["wider", "narrower", "ragged"],
+    )
+    def test_rejects_rows_not_as_wide_as_the_header(self, small_pipeline, tmp_path, capsys, text):
+        _, _, mdl = small_pipeline
+        q = tmp_path / "bad_width.csv"
+        q.write_text(text)
+        out = tmp_path / "pred_bad.csv"
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--queries", str(q), "--out", str(out))
+        assert code == 2
+        assert str(q) in err
+        assert not out.exists()
+
     def test_missing_model(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "predict", "--model", str(tmp_path / "no.json"),
@@ -220,6 +235,18 @@ class TestEvaluate:
         code, _, _ = run(capsys, "evaluate", "--model", str(mdl), "--test", str(tpath), "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["rmse"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_test_grid(self, small_pipeline, tmp_path, capsys, value):
+        # json.dump would write NaN, which is not JSON
+        _, _, mdl = small_pipeline
+        grid = tmp_path / "bad_grid.csv"
+        grid.write_text(f"fidelity,x0,y\n2,0.5,{value}\n2,0.7,1.0\n")
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "evaluate", "--model", str(mdl), "--test", str(grid), "--out", str(out))
+        assert code == 2
+        assert f"{grid}:2" in err
+        assert not out.exists()
 
     def test_missing_test_file(self, small_pipeline, tmp_path, capsys):
         _, _, mdl = small_pipeline

@@ -91,11 +91,13 @@ class TestGramGradHyper:
 
 class TestGramGradInputs:
     def test_zero_at_coincident_points(self):
-        T = gram_grad_inputs(unit_params(2), [[0.5, 0.5]], [[0.5, 0.5]])
+        p, U = unit_params(2), [[0.5, 0.5]]
+        T = gram_grad_inputs(p, U, U, gram(p, U, U))
         np.testing.assert_array_equal(T, np.zeros((1, 1, 2)))
 
     def test_hand_value_1d(self):
-        T = gram_grad_inputs(unit_params(), [[0.0]], [[1.0]])
+        p, U, V = unit_params(), [[0.0]], [[1.0]]
+        T = gram_grad_inputs(p, U, V, gram(p, U, V))
         assert T[0, 0, 0] == pytest.approx(np.exp(-0.5))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -103,7 +105,7 @@ class TestGramGradInputs:
         rng = np.random.default_rng(seed + 10)
         p = random_params(rng, 2)
         U, V = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-        T = gram_grad_inputs(p, U, V)
+        T = gram_grad_inputs(p, U, V, gram(p, U, V))
         for i in range(3):
             for d in range(2):
                 def f(t, i=i, d=d):
@@ -120,6 +122,39 @@ class TestGramGradInputs:
         rng = np.random.default_rng(11)
         p = random_params(rng, 2)
         U, V = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        T_uv = gram_grad_inputs(p, U, V)
-        T_vu = gram_grad_inputs(p, V, U)
+        T_uv = gram_grad_inputs(p, U, V, gram(p, U, V))
+        T_vu = gram_grad_inputs(p, V, U, gram(p, V, U))
         np.testing.assert_allclose(T_uv, -np.swapaxes(T_vu, 0, 1), rtol=1e-13)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestLayoutBits:
+    """The kernel works on one (n, m) plane per feature dimension. For D < 8
+    that gives bit for bit what the plain (n, m, D) broadcast gives, and the
+    trained optima depend on the last bit of the objective."""
+
+    @staticmethod
+    def plain(p, U, V):
+        diff = (U[:, None, :] - V[None, :, :]) / p.lengthscales
+        sq = diff**2
+        K = p.signal_variance * np.exp(-0.5 * np.sum(sq, axis=2))
+        grads = [K] + [K * sq[:, :, d] for d in range(p.dim)]
+        return K, grads, K[:, :, None] * (-diff) / p.lengthscales
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_matches_the_plain_broadcast(self, D):
+        rng = np.random.default_rng(20 + D)
+        p = random_params(rng, D)
+        U, V = rng.normal(size=(5, D)), rng.normal(size=(7, D))
+        V[0] = U[0]  # a coincident pair: zero differences
+        K, grads, T = self.plain(p, U, V)
+        assert_same_bits(gram(p, U, V), K)
+        got = gram_grad_hyper(p, U, V)
+        assert len(got) == len(grads)
+        for g, e in zip(got, grads):
+            assert_same_bits(g, e)
+        assert_same_bits(gram_grad_inputs(p, U, V, K), T)

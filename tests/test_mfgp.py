@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dmfgp import feature_map as fm
+from dmfgp import kernel as kern
 from dmfgp.feature_map import LayerSpec
 from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import (
@@ -27,6 +30,19 @@ def ar1_model(D=1, rho=1.3, sv1=1.5, ls1=0.7, sv2=0.4, ls2=1.2, n1=1e-4, n2=1e-5
     k1 = KernelParams(np.log(sv1), np.full(D, np.log(ls1)))
     k2 = KernelParams(np.log(sv2), np.full(D, np.log(ls2)))
     return ModelParams(rho, k1, k2, arch, fmap, np.log(n1), np.log(n2))
+
+
+def deep_model():
+    arch = [LayerSpec(1, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
+    rng = np.random.default_rng(5)
+    fmap = fm.FeatureMapParams(
+        [rng.normal(0, 0.7, size=(3, 1)), rng.normal(0, 0.7, size=(2, 3))],
+        [rng.normal(size=3), rng.normal(size=2)],
+    )
+    return ModelParams(
+        0.8, KernelParams(0.1, 0.2 * np.ones(2)), KernelParams(-0.3, np.zeros(2)),
+        arch, fmap, np.log(1e-3), np.log(1e-3),
+    )
 
 
 def random_data(seed, n1=7, n2=3, D=1):
@@ -177,16 +193,8 @@ class TestNllGradient:
             assert not w.any() and not b.any()
 
     def test_feature_map_weights_match_finite_differences(self):
-        arch = [LayerSpec(1, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
-        rng = np.random.default_rng(5)
-        fmap = fm.FeatureMapParams(
-            [rng.normal(0, 0.7, size=(3, 1)), rng.normal(0, 0.7, size=(2, 3))],
-            [rng.normal(size=3), rng.normal(size=2)],
-        )
-        params = ModelParams(
-            0.8, KernelParams(0.1, 0.2 * np.ones(2)), KernelParams(-0.3, np.zeros(2)),
-            arch, fmap, np.log(1e-3), np.log(1e-3),
-        )
+        params = deep_model()
+        fmap = params.fmap
         data = random_data(6)
         g = nll_gradient(params, data, jitter=JITTER)
         step = 1e-5
@@ -226,6 +234,24 @@ class TestNllGradient:
 
         fd = (at(step) - at(-step)) / (2 * step)
         assert g.k1[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+    @pytest.mark.parametrize("deep", [True, False], ids=["deep", "zero-layer"])
+    def test_one_gram_per_kernel(self, monkeypatch, deep):
+        # the Gram comes out of gram_grad_hyper, and builds K and the input
+        # derivatives too
+        calls = Counter()
+        for name in ("gram", "gram_grad_hyper", "gram_grad_inputs"):
+            def counted(*args, _fn=getattr(kern, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(kern, name, counted)
+        nll_gradient(deep_model() if deep else ar1_model(), random_data(6), jitter=JITTER)
+        expected = {"gram_grad_hyper": 2}
+        if deep:
+            expected["gram_grad_inputs"] = 2
+        assert calls == expected
 
 
 class TestPredict:
