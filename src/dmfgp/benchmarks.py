@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import feature_map as fm
 from . import mfgp
 from .kernel import KernelParams
-from .mfgp import Dataset
+from .mfgp import Dataset, ModelParams
 
 __all__ = [
     "KINDS",
@@ -34,6 +35,7 @@ _PARTITION = {
 _DEFAULT_SIZES = {"step": (45, 5), "forrester_jump": (50, 5), "prior_sample": (50, 15)}
 N_CANDIDATES = 200
 N_GRID = 200
+RHO_TRUE = 1.0  # the prior_sample truth's scale factor between the fidelities
 
 
 @dataclass
@@ -43,7 +45,6 @@ class BenchmarkSpec:
     n1: int = None
     n2: int = None
     noise_sd: float = 0.01  # step only
-    rho_true: float = 1.0  # prior_sample only
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -139,10 +140,12 @@ def generate(spec):
         f2 = forrester_truth(x2, "high")
         truth = forrester_truth(grid, "high")
     else:  # prior_sample: draw from the joint prior with the true feature map
-        all_x = np.concatenate([cand, grid])
-        H = true_h_sample(all_x)
+        # the zero-layer map's features are its inputs: here, the true features
+        arch, fmap = fm.identity_map(2)
         unit = KernelParams(0.0, np.zeros(2))
-        s1, s2 = mfgp.sample_prior_features(unit, unit, spec.rho_true, H, [spec.seed, 2])
+        truth_params = ModelParams(RHO_TRUE, unit, unit, arch, fmap)
+        H = true_h_sample(np.concatenate([cand, grid]))
+        s1, s2 = mfgp.sample_prior(truth_params, H, [spec.seed, 2])
         f1, f2 = s1[i1], s2[i2]
         truth = s2[N_CANDIDATES:]
 

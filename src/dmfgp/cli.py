@@ -142,8 +142,6 @@ def cmd_predict(args):
             )
         xall = np.vstack([fitted.data.x1, fitted.data.x2])
         X = np.linspace(xall.min(), xall.max(), args.grid).reshape(-1, 1)
-    if X.shape[1] != fitted.d_in:
-        raise ValueError(f"queries have {X.shape[1]} columns, model expects {fitted.d_in}")
     pred = fitted.predict(X)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

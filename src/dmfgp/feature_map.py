@@ -45,9 +45,6 @@ class FeatureMapParams:
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
 
-    def copy(self):
-        return FeatureMapParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass
 class FeatureMapGrad:

@@ -37,7 +37,6 @@ __all__ = [
     "nll_gradient",
     "predict",
     "sample_prior",
-    "sample_prior_features",
 ]
 
 # smooth floor keeps the noise variance >= 1e-8 while remaining differentiable
@@ -96,6 +95,10 @@ class Dataset:
     def f(self):
         return np.concatenate([self.f1, self.f2])
 
+    def centered(self, mean, scale):
+        """The same inputs with targets (f - mean) / scale."""
+        return Dataset(self.x1, (self.f1 - mean) / scale, self.x2, (self.f2 - mean) / scale)
+
 
 @dataclass
 class ModelParams:
@@ -117,12 +120,6 @@ class ModelParams:
                 f"kernel dimension ({self.k1.dim}, {self.k2.dim}) must equal "
                 f"feature-map output width ({d_out})"
             )
-
-    def copy(self):
-        return ModelParams(
-            self.rho, self.k1, self.k2, list(self.arch), self.fmap.copy(),
-            self.log_noise1, self.log_noise2,
-        )
 
 
 @dataclass
@@ -370,26 +367,20 @@ def predict(params, data, Xstar, jitter=None):
     return PosteriorPrediction(mean, np.maximum(var, 0.0))
 
 
-def sample_prior_features(k1, k2, rho, H, seed, jitter=None):
-    """Draw one joint prior sample (f1, f2) given precomputed features H.
-
-    Used both by sample_prior and by benchmark generation, where the feature
-    map is an externally specified ground truth rather than a trained network.
-    """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+def sample_prior(params, X, seed, jitter=None):
+    """Seeded joint prior draw (f1 sample, f2 sample), both fidelities at
+    inputs X. The zero-layer map draws on given features: its features are
+    its inputs."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    H = fm.forward(params.arch, params.fmap, X)
     n = H.shape[0]
     if n == 0:
         raise ValueError("need at least one sample point")
     # both fidelities sit at the same n inputs, so the k1 Gram repeats
-    K = _joint_cov(np.tile(kern.gram(k1, H, H), (2, 2)), kern.gram(k2, H, H), rho, n)
+    K = _joint_cov(
+        np.tile(kern.gram(params.k1, H, H), (2, 2)), kern.gram(params.k2, H, H), params.rho, n
+    )
     L, _ = _chol_with_escalation(K, jitter)
     rng = np.random.default_rng(seed)
     s = L @ rng.standard_normal(2 * n)
     return s[:n], s[n:]
-
-
-def sample_prior(params, X, seed, jitter=None):
-    """Seeded joint prior draw (f1 sample, f2 sample) at inputs X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    H = fm.forward(params.arch, params.fmap, X)
-    return sample_prior_features(params.k1, params.k2, params.rho, H, seed, jitter)

@@ -28,21 +28,10 @@ class FittedModel:
     center_scale: float
     meta: dict = field(default_factory=dict)
 
-    def _centered_data(self):
-        return Dataset(
-            self.data.x1,
-            (self.data.f1 - self.center_mean) / self.center_scale,
-            self.data.x2,
-            (self.data.f2 - self.center_mean) / self.center_scale,
-        )
-
-    def nll(self):
-        """NLL of the centered training targets (the trained objective)."""
-        return mfgp.nll(self.params, self._centered_data())
-
     def predict(self, Xstar):
         """Posterior of the latent high-fidelity output, in original units."""
-        raw = mfgp.predict(self.params, self._centered_data(), Xstar)
+        centered = self.data.centered(self.center_mean, self.center_scale)
+        raw = mfgp.predict(self.params, centered, Xstar)
         return PosteriorPrediction(
             raw.mean * self.center_scale + self.center_mean,
             raw.variance * self.center_scale**2,

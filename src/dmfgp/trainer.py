@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from . import feature_map as fm
 from . import mfgp
 from .kernel import KernelParams
-from .mfgp import Dataset, ModelParams, NotPositiveDefiniteError, TrainingFailedError
+from .mfgp import ModelParams, NotPositiveDefiniteError, TrainingFailedError
 
 __all__ = [
     "TrainConfig",
@@ -75,51 +75,59 @@ class TrainReport:
 # parameter vector packing
 
 
-def pack_params(params, config):
-    """Flatten the unfrozen parameters of a ModelParams into a vector; the
-    zero-layer map packs to nothing."""
-    parts = [np.array([params.rho]), params.k1.to_vector(), params.k2.to_vector()]
-    if not config.freeze_noise:
-        parts.append(np.array([params.log_noise1, params.log_noise2]))
-    for w, b in zip(params.fmap.weights, params.fmap.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def unpack_params(vec, template, config):
-    """Inverse of pack_params; frozen parts are copied from the template."""
-    vec = np.asarray(vec, dtype=float)
-    D = template.k1.dim
-    expected = pack_params(template, config).size
-    if vec.size != expected:
-        raise ValueError(f"parameter vector has {vec.size} entries, expected {expected}")
-    i = 0
-    rho = float(vec[i]); i += 1
-    k1 = KernelParams.from_vector(vec[i : i + 1 + D]); i += 1 + D
-    k2 = KernelParams.from_vector(vec[i : i + 1 + D]); i += 1 + D
-    if config.freeze_noise:
-        ln1, ln2 = template.log_noise1, template.log_noise2
+def _layout(p, config):
+    """The packed parts, in order: rho, k1, k2, the noise pair unless it is
+    frozen, then each layer's weights and biases. p is a ModelParams, or a
+    ModelGradient, whose kernel parts are vectors already; the zero-layer
+    map adds no parts."""
+    if isinstance(p, ModelParams):
+        k1, k2 = p.k1.to_vector(), p.k2.to_vector()
     else:
-        ln1, ln2 = float(vec[i]), float(vec[i + 1]); i += 2
-    fmap = template.fmap.copy()
-    for ell, (w, b) in enumerate(zip(fmap.weights, fmap.biases)):
-        fmap.weights[ell] = vec[i : i + w.size].reshape(w.shape); i += w.size
-        fmap.biases[ell] = vec[i : i + b.size].copy(); i += b.size
-    if i != vec.size:
-        raise ValueError(f"parameter vector has {vec.size} entries, expected {i}")
-    return ModelParams(rho, k1, k2, list(template.arch), fmap, ln1, ln2)
+        k1, k2 = p.k1, p.k2
+    parts = [np.array([p.rho]), k1, k2]
+    if not config.freeze_noise:
+        parts.append(np.array([p.log_noise1, p.log_noise2]))
+    for w, b in zip(p.fmap.weights, p.fmap.biases):
+        parts += [w, b]
+    return parts
+
+
+def pack_params(params, config):
+    """Flatten the unfrozen parameters of a ModelParams into a vector."""
+    return np.concatenate([a.ravel() for a in _layout(params, config)])
 
 
 def pack_gradient(grad, config):
     """Flatten a ModelGradient consistently with pack_params."""
-    parts = [np.array([grad.rho]), grad.k1, grad.k2]
-    if not config.freeze_noise:
-        parts.append(np.array([grad.log_noise1, grad.log_noise2]))
-    for w, b in zip(grad.fmap.weights, grad.fmap.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return np.concatenate([a.ravel() for a in _layout(grad, config)])
+
+
+def unpack_params(vec, template, config):
+    """Inverse of pack_params; frozen parts are taken from the template."""
+    vec = np.asarray(vec, dtype=float)
+    parts = _layout(template, config)
+    expected = sum(a.size for a in parts)
+    if vec.size != expected:
+        raise ValueError(f"parameter vector has {vec.size} entries, expected {expected}")
+    pieces, i = [], 0
+    for a in parts:
+        piece = vec[i : i + a.size]; i += a.size
+        # only the weights need a reshape, which costs twice the slice
+        pieces.append(piece if a.ndim == 1 else piece.reshape(a.shape))
+    rho, k1, k2 = float(pieces[0][0]), pieces[1], pieces[2]
+    if config.freeze_noise:
+        ln1, ln2, layers = template.log_noise1, template.log_noise2, pieces[3:]
+    else:
+        ln1, ln2, layers = float(pieces[3][0]), float(pieces[3][1]), pieces[4:]
+    return ModelParams(
+        rho,
+        KernelParams.from_vector(k1),
+        KernelParams.from_vector(k2),
+        list(template.arch),
+        fm.FeatureMapParams(layers[0::2], layers[1::2]),
+        ln1,
+        ln2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +208,7 @@ def center_targets(data):
     scale = float(np.std(f))
     if scale < 1e-12:
         scale = 1.0
-    centered = Dataset(data.x1, (data.f1 - mean) / scale, data.x2, (data.f2 - mean) / scale)
-    return centered, mean, scale
+    return data.centered(mean, scale), mean, scale
 
 
 def train(data, arch, config):

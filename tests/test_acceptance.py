@@ -67,6 +67,23 @@ def run_benchmark(kind, seed, restarts=10):
     return m["dmf"], m["ar1"]
 
 
+def packed_gradient_errors(data, cfg):
+    """(error, tolerance) per packed component of the analytic NLL gradient
+    against finite differences, at restart 0's start point on the centred
+    targets, with the program's own (automatic) jitter."""
+    centered, _, _ = trainer.center_targets(data)
+    params = init_params(ARCH, cfg, 0)
+    a = trainer.pack_gradient(nll_gradient(params, centered), cfg)
+
+    def value(vec):
+        return nll(trainer.unpack_params(vec, params, cfg), centered)
+
+    # a fourth-order stencil keeps truncation negligible at a step wide
+    # enough to stay above the Cholesky roundoff floor of the objective
+    fd = oracles.central_difference4(value, trainer.pack_params(params, cfg), 2e-4)
+    return np.abs(a - fd), 1e-5 * np.maximum(np.abs(a), np.abs(fd)) + 1e-7
+
+
 def test_c1_gradient_correctness():
     t0 = time.time()
     worst = 0.0
@@ -75,23 +92,31 @@ def test_c1_gradient_correctness():
         # evaluate at the instance's generating parameters, where the
         # likelihood is moderate and the finite-difference oracle is sharp
         cfg = TrainConfig(seed=seed + 500, restarts=1)
-        centered, _, _ = trainer.center_targets(data)
-        params = init_params(ARCH, cfg, 0)
-        a = trainer.pack_gradient(nll_gradient(params, centered), cfg)
-
-        def value(vec, _p=params, _d=centered, _c=cfg):
-            return nll(trainer.unpack_params(vec, _p, _c), _d)
-
-        # a fourth-order stencil keeps truncation negligible at a step wide
-        # enough to stay above the Cholesky roundoff floor of the objective
-        fd = oracles.central_difference4(value, trainer.pack_params(params, cfg), 2e-4)
-        err = np.abs(a - fd)
-        tol = 1e-5 * np.maximum(np.abs(a), np.abs(fd)) + 1e-7
+        err, tol = packed_gradient_errors(data, cfg)
         worst = max(worst, float(np.max(err / tol)))
         assert np.all(err <= tol), f"instance {seed}: worst component error {np.max(err):.3e}"
     elapsed = time.time() - t0
     print(f"criterion 1 gradient correctness: PASS (worst err/tol {worst:.3f}, {elapsed:.1f}s)")
     assert elapsed < 5.0
+
+
+def test_zero_layer_gradient_at_automatic_jitter():
+    # c1's check on the AR(1) baseline's zero-layer map, whose packed
+    # gradient holds only rho, the kernels and (unless frozen) the noise pair
+    worst = 0.0
+    for seed in range(20):
+        data = small_instance(seed)
+        for freeze_noise in (False, True):
+            cfg = TrainConfig(
+                seed=seed + 500, restarts=1, freeze_feature_map=True, freeze_noise=freeze_noise
+            )
+            err, tol = packed_gradient_errors(data, cfg)
+            worst = max(worst, float(np.max(err / tol)))
+            assert np.all(err <= tol), (
+                f"instance {seed}, frozen noise {freeze_noise}: "
+                f"worst component error {np.max(err):.3e}"
+            )
+    print(f"zero-layer gradient correctness: PASS (worst err/tol {worst:.3f})")
 
 
 def test_c2_identity_map_reduction():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dmfgp.benchmarks import (
+    RHO_TRUE,
     BenchmarkSpec,
     candidate_points,
     forrester_truth,
@@ -164,7 +165,7 @@ class TestGenerate:
         # the generating map is piecewise; the nll check only needs valid params
         fmap = fm.FeatureMapParams([np.array([[1.0], [1.0]])], [np.zeros(2)])
         unit = KernelParams(0.0, np.zeros(2))
-        params = ModelParams(spec.rho_true, unit, unit, arch, fmap)
+        params = ModelParams(RHO_TRUE, unit, unit, arch, fmap)
         v1 = nll(params, data)
         data2, _, _ = generate(spec)
         v2 = nll(params, data2)

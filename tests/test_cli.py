@@ -14,6 +14,8 @@ from dmfgp.cli import main, parse_arch
 from dmfgp.feature_map import LayerSpec
 from dmfgp.mfgp import NotPositiveDefiniteError, TrainingFailedError
 
+from test_model_io import trained_nll
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -84,7 +86,7 @@ class TestTrain:
     def test_model_and_report_written(self, small_pipeline):
         root, _, mdl = small_pipeline
         fitted = model.load_model(mdl)
-        assert fitted.nll() == pytest.approx(fitted.meta["best_nll"], rel=1e-10)
+        assert trained_nll(fitted) == pytest.approx(fitted.meta["best_nll"], rel=1e-10)
         report = (root / "model.report.txt").read_text()
         assert "best nll" in report and "restart 1" in report
 
@@ -132,7 +134,7 @@ class TestTrain:
                 assert run(capsys, "predict", "--model", str(mdl), *mode, "--out", str(out))[0] == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
-        assert model.load_model(old).nll() == model.load_model(new).nll()
+        assert trained_nll(model.load_model(old)) == trained_nll(model.load_model(new))
 
     def test_deterministic_model_file(self, small_pipeline, capsys):
         root, data, _ = small_pipeline
@@ -200,6 +202,16 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "--model", str(mdl), "--queries", str(q), "--out", str(out))
         assert code == 2
         assert str(q) in err
+        assert not out.exists()
+
+    def test_rejects_queries_wider_than_the_model(self, small_pipeline, tmp_path, capsys):
+        _, _, mdl = small_pipeline
+        q = tmp_path / "two_columns.csv"
+        q.write_text("x0,x1\n0.5,0.1\n1.5,0.2\n")
+        out = tmp_path / "pred_wide.csv"
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--queries", str(q), "--out", str(out))
+        assert code == 2
+        assert "2 columns" in err and "expects 1" in err
         assert not out.exists()
 
     def test_missing_model(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def pack(params):
 
 
 def unpack(vec, template):
-    out = template.copy()
+    out = copy.deepcopy(template)
     i = 0
     for ell, (w, b) in enumerate(zip(out.weights, out.biases)):
         out.weights[ell] = vec[i : i + w.size].reshape(w.shape); i += w.size

@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 
 import numpy as np
@@ -202,7 +203,7 @@ class TestNllGradient:
             w = fmap.weights[ell]
             for idx in np.ndindex(w.shape):
                 def at(eps, ell=ell, idx=idx):
-                    p = params.copy()
+                    p = copy.deepcopy(params)
                     p.fmap.weights[ell][idx] += eps
                     return nll(p, data, jitter=JITTER)
 
@@ -211,7 +212,7 @@ class TestNllGradient:
             b = fmap.biases[ell]
             for j in range(b.size):
                 def at(eps, ell=ell, j=j):
-                    p = params.copy()
+                    p = copy.deepcopy(params)
                     p.fmap.biases[ell][j] += eps
                     return nll(p, data, jitter=JITTER)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dmfgp import mfgp, trainer
-from dmfgp.feature_map import LayerSpec
+from dmfgp.feature_map import FeatureMapGrad, LayerSpec
 from dmfgp.kernel import KernelParams
-from dmfgp.mfgp import Dataset, ModelParams, nll, nll_gradient, sample_prior
+from dmfgp.mfgp import Dataset, ModelGradient, ModelParams, nll, nll_gradient, sample_prior
 from dmfgp.trainer import (
     _PENALTY,
     TrainConfig,
@@ -106,11 +106,22 @@ class TestPacking:
         assert pack_params(p, cfg).size == 1 + 2 * 2 + 2
 
     def test_gradient_layout_matches_params(self):
-        cfg = TrainConfig(seed=2)
-        p = init_params(ARCH, cfg, 0)
-        data = prior_data(0)
-        g = pack_gradient(nll_gradient(p, data), cfg)
-        assert g.shape == pack_params(p, cfg).shape
+        # a gradient holding the parameters' own values packs to the same
+        # vector; random values make any two parts out of order differ
+        rng = np.random.default_rng(2)
+        for freeze_map in (False, True):
+            for freeze_noise in (False, True):
+                cfg = TrainConfig(freeze_feature_map=freeze_map, freeze_noise=freeze_noise)
+                p0 = init_params(ARCH, cfg, 0)
+                vec = pack_params(p0, cfg)
+                p = unpack_params(vec + rng.normal(size=vec.size), p0, cfg)
+                p.log_noise1, p.log_noise2 = rng.normal(size=2)
+                g = ModelGradient(
+                    p.rho, p.k1.to_vector(), p.k2.to_vector(),
+                    FeatureMapGrad(p.fmap.weights, p.fmap.biases),
+                    p.log_noise1, p.log_noise2, nll=0.0,
+                )
+                np.testing.assert_array_equal(pack_gradient(g, cfg), pack_params(p, cfg))
 
     def test_wrong_length_rejected(self):
         cfg = TrainConfig(seed=1)
