@@ -6,6 +6,7 @@ failure (non-positive-definite covariance or failed training).
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -165,6 +166,7 @@ def cmd_evaluate(args):
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser():
     parser = _Parser(prog="dmfgp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,27 +22,26 @@ __all__ = [
 ]
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
-
-
 def _header(d_in):
     return ["fidelity"] + [f"x{d}" for d in range(d_in)] + ["y"]
 
 
-def _open_writer(path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header, blocks):
+    """Write the header and the column-stacked blocks (1-D blocks are single
+    columns), one "%.17g" field per value ("%.17g" % 1.0 is "1", so the
+    fidelity column is a float column), in one write."""
+    rows = [len(b) for b in blocks]
+    if len(set(rows)) > 1:
+        raise ValueError(f"{path}: columns to write have differing row counts {rows}")
+    table = np.column_stack(blocks)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n" + "".join(line % tuple(r) for r in table.tolist()))
 
 
 def write_dataset(path, data):
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(_header(data.d_in))
-        for xi, yi in zip(data.x1, data.f1):
-            w.writerow(["1"] + [_fmt(v) for v in xi] + [_fmt(yi)])
-        for xi, yi in zip(data.x2, data.f2):
-            w.writerow(["2"] + [_fmt(v) for v in xi] + [_fmt(yi)])
+    fid = np.repeat([1.0, 2.0], [data.n1, data.n2])
+    _write_csv(path, _header(data.d_in), [fid, np.vstack([data.x1, data.x2]), data.f])
 
 
 def _read_fidelity_rows(path):
@@ -85,11 +84,8 @@ def read_dataset(path):
 def write_test_grid(path, X, truth):
     """Test grid: high-fidelity truth rows in the dataset CSV format."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(_header(X.shape[1]))
-        for xi, yi in zip(X, np.asarray(truth, dtype=float).ravel()):
-            w.writerow(["2"] + [_fmt(v) for v in xi] + [_fmt(yi)])
+    truth = np.asarray(truth, dtype=float).ravel()
+    _write_csv(path, _header(X.shape[1]), [np.full_like(truth, 2.0), X, truth])
 
 
 def read_test_grid(path):
@@ -138,8 +134,4 @@ def write_predictions(path, X, mean, std, features):
         + ["mean", "std"]
         + [f"h{d}" for d in range(features.shape[1])]
     )
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(cols)
-        for xi, m, s, hi in zip(X, mean, std, features):
-            w.writerow([_fmt(v) for v in (*xi, m, s, *hi)])
+    _write_csv(path, cols, [X, mean, std, features])

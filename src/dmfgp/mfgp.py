@@ -176,7 +176,7 @@ def _chol_with_escalation(K, jitter):
     j = max(jitter, 0.0)
     while True:
         try:
-            L = cholesky(K + j * np.eye(K.shape[0]), lower=True)
+            L = cholesky(K + j * np.eye(K.shape[0]), lower=True, check_finite=False)
             return L, j
         except np.linalg.LinAlgError:
             pass
@@ -213,7 +213,8 @@ def _factor(params, data, H, G1, G2, jitter):
     noise1, noise2 = noise_variance(params.log_noise1), noise_variance(params.log_noise2)
     K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n1, noise1, noise2)
     L, j = _chol_with_escalation(K, jitter)
-    alpha = cho_solve((L, True), data.f)
+    # a factor of a finite K and targets Dataset checked finite
+    alpha = cho_solve((L, True), data.f, check_finite=False)
     return GramBundle(K, L, alpha, H, j)
 
 
@@ -281,7 +282,7 @@ def nll_gradient(params, data, jitter=None):
     gh2 = kern.gram_grad_hyper(params.k2, H2, H2)
     b = _factor(params, data, H, gh1[0].copy(), gh2[0], jitter)
 
-    Kinv = cho_solve((b.chol, True), np.eye(n))
+    Kinv = cho_solve((b.chol, True), np.eye(n), check_finite=False)
     A = 0.5 * (Kinv - np.outer(b.alpha, b.alpha))
     A11, A12, A22 = A[lo, lo], A[lo, hi], A[hi, hi]
 

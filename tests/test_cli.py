@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dmfgp
-from dmfgp import io, model
+from dmfgp import cli, io, model
 from dmfgp.cli import main, parse_arch
 from dmfgp.feature_map import LayerSpec
 from dmfgp.mfgp import NotPositiveDefiniteError, TrainingFailedError
@@ -370,6 +370,66 @@ class TestNumericalFailure:
         assert "numerical failure" in err
 
 
+def _src_env():
+    src = str(Path(dmfgp.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+def test_one_parser_serves_every_command_in_a_process(small_pipeline, tmp_path, monkeypatch):
+    root, _, mdl = small_pipeline
+    queries = tmp_path / "q.csv"
+    queries.write_text("x0\n0.25\n0.5\n0.75\n")
+    model_args = ["--model", str(mdl)]
+    commands = [
+        # --grid and --queries share a mutually exclusive group: a usage error
+        ["predict", *model_args, "--grid", "5", "--queries", str(queries), "--out", "bad.csv"],
+        ["predict", *model_args, "--grid", "9", "--out", "grid.csv"],
+        ["predict", *model_args, "--queries", str(queries), "--out", "queries.csv"],
+        ["evaluate", *model_args, "--test", str(root / "step_test.csv"), "--out", "metrics.json"],
+        ["generate", "--kind", "step", "--seed", "3", "--out", "gen.csv"],
+    ]
+
+    def in_dir(argv, d):
+        return argv[:-1] + [str(d / argv[-1])]
+
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        same.mkdir()
+        fresh.mkdir()
+        codes = [main(in_dir(commands[0], same))]
+        first_build = list(built)
+        codes += [main(in_dir(argv, same)) for argv in commands[1:]]
+    finally:
+        cli.build_parser.cache_clear()
+    # one top-level parser and its four sub-parsers, built by the first call only
+    assert first_build[0] == "dmfgp" and len(first_build) == 5
+    assert built == first_build
+
+    fresh_codes = [
+        subprocess.run(
+            [sys.executable, "-m", "dmfgp.cli", *in_dir(argv, fresh)],
+            capture_output=True, env=_src_env(), timeout=120,
+        ).returncode
+        for argv in commands
+    ]
+    assert codes == fresh_codes == [1, 0, 0, 0, 0]
+    names = sorted(p.name for p in same.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert names == ["gen.csv", "gen_test.csv", "grid.csv", "metrics.json", "queries.csv"]
+    for name in names:
+        assert (same / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_serving_commands_do_not_load_the_optimizer(small_pipeline):
     # A fresh interpreter, because this test session has imported the trainer.
     root, _, mdl = small_pipeline
@@ -407,12 +467,9 @@ def test_serving_commands_do_not_load_the_optimizer(small_pipeline):
         print("ok")
         """
     )
-    src = str(Path(dmfgp.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(root), str(mdl)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("ok")

@@ -1,3 +1,6 @@
+import csv
+import io as stdio
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,63 @@ class TestPredictionsCsv:
         io.write_predictions(path, X, pred.mean, np.sqrt(pred.variance), fitted.features(X))
         header = path.read_text().splitlines()[0]
         assert header == "x0,mean,std,h0,h1"
+
+
+# doubles whose "%.17g" form is easy to get wrong: signed zero, the smallest
+# subnormal, the largest double, a non-dyadic fraction, 1e16 and whole numbers
+EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 3.0, -7.0, 0.0]
+
+
+def reference_csv(header, rows):
+    """The csv.writer form with f"{float(v):.17g}" fields, row by row."""
+    buf = stdio.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{float(v):.17g}" for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestGoldenBytes:
+    X = np.array(EDGE).reshape(-1, 2)  # D = 2 inputs, 4 rows
+    y = np.array(EDGE[::-2])
+
+    def test_dataset(self, tmp_path):
+        data = Dataset(self.X[:3], self.y[:3], self.X[3:], self.y[3:])
+        path = tmp_path / "d.csv"
+        io.write_dataset(path, data)
+        rows = [[1, *x, f] for x, f in zip(data.x1, data.f1)]
+        rows += [[2, *x, f] for x, f in zip(data.x2, data.f2)]
+        assert path.read_bytes() == reference_csv(["fidelity", "x0", "x1", "y"], rows)
+
+    def test_test_grid(self, tmp_path):
+        path = tmp_path / "t.csv"
+        io.write_test_grid(path, self.X, self.y)
+        rows = [[2, *x, f] for x, f in zip(self.X, self.y)]
+        assert path.read_bytes() == reference_csv(["fidelity", "x0", "x1", "y"], rows)
+
+    def test_predictions(self, tmp_path):
+        mean, std, H = self.y, self.y[::-1], self.X[::-1]  # two feature columns
+        path = tmp_path / "p.csv"
+        io.write_predictions(path, self.X, mean, std, H)
+        rows = [[*x, m, s, *h] for x, m, s, h in zip(self.X, mean, std, H)]
+        header = ["x0", "x1", "mean", "std", "h0", "h1"]
+        assert path.read_bytes() == reference_csv(header, rows)
+
+
+class TestRowCounts:
+    """Writers refuse inputs whose row counts differ, rather than dropping
+    or folding rows."""
+
+    def test_predictions_with_1d_inputs(self, tmp_path):
+        v = np.linspace(0, 1, 5)
+        with pytest.raises(ValueError, match=r"\[1, 5, 5, 5\]"):
+            io.write_predictions(tmp_path / "p.csv", v, v, v, np.c_[v, v])
+
+    def test_test_grid_with_short_truth(self, tmp_path):
+        X = np.linspace(0, 1, 5).reshape(-1, 1)
+        with pytest.raises(ValueError, match=r"\[3, 5, 3\]"):
+            io.write_test_grid(tmp_path / "t.csv", X, np.zeros(3))
 
 
 class TestFittedModel:
