@@ -49,6 +49,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown benchmark kind {self.kind!r}; expected one of {KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.noise_sd >= 0:  # also rejects NaN
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         d1, d2 = _DEFAULT_SIZES[self.kind]

@@ -75,7 +75,9 @@ def _scaled_diff(params, U, V):
     # per feature dimension, so every elementwise pass runs over n * m floats
     # and the sum over d adds whole planes, rather than looping over D per pair
     Ut, Vt = np.ascontiguousarray(U.T), np.ascontiguousarray(V.T)
-    return (Ut[:, :, None] - Vt[:, None, :]) / params.lengthscales[:, None, None]
+    diff = Ut[:, :, None] - Vt[:, None, :]
+    diff /= params.lengthscales[:, None, None]
+    return diff
 
 
 def _gram_of_squares(params, sq):
@@ -97,7 +99,9 @@ def gram(params, U, V):
     ndarray, shape (n, m)
     """
     U, V = _check_dims(params, U, V)
-    return _gram_of_squares(params, _scaled_diff(params, U, V) ** 2)
+    sq = _scaled_diff(params, U, V)
+    np.square(sq, out=sq)
+    return _gram_of_squares(params, sq)
 
 
 def gram_grad_hyper(params, U, V):
@@ -111,7 +115,8 @@ def gram_grad_hyper(params, U, V):
         d/dlog_ell_d = K * ((u_d - v_d)/ell_d)^2.
     """
     U, V = _check_dims(params, U, V)
-    sq = _scaled_diff(params, U, V) ** 2
+    sq = _scaled_diff(params, U, V)
+    np.square(sq, out=sq)
     K = _gram_of_squares(params, sq)
     return [K] + [K * s for s in sq]
 

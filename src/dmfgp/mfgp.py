@@ -174,9 +174,17 @@ def _chol_with_escalation(K, jitter):
         jitter = 1e-8 * mean_diag
     cap = 1e-2 * max(mean_diag, 1.0)
     j = max(jitter, 0.0)
+    # one Fortran-ordered work array, refilled per attempt and factored in
+    # place: adding 0.0 everywhere and j on the diagonal gives the bits of
+    # K + j * I (-0.0 becomes +0.0 as there), with no identity and no copy
+    n = K.shape[0]
+    A = np.empty((n, n), order="F")
+    diag = A.reshape(-1, order="F")[:: n + 1]  # a strided view of A's diagonal
     while True:
+        np.add(K, 0.0, out=A)
+        diag += j
         try:
-            L = cholesky(K + j * np.eye(K.shape[0]), lower=True, check_finite=False)
+            L = cholesky(A, lower=True, overwrite_a=True, check_finite=False)
             return L, j
         except np.linalg.LinAlgError:
             pass
@@ -190,7 +198,7 @@ def _joint_cov(G1, G2, rho, n1):
 
     Scales G1 in place: r_i r_j is 1, rho or rho * rho, so only the blocks
     with a high-fidelity row or column change, and no n x n temporaries are
-    made (the prior-sampling K is 800 x 800).
+    made.
     """
     K = G1
     K[:n1, n1:] *= rho
@@ -371,17 +379,22 @@ def predict(params, data, Xstar, jitter=None):
 def sample_prior(params, X, seed, jitter=None):
     """Seeded joint prior draw (f1 sample, f2 sample), both fidelities at
     inputs X. The zero-layer map draws on given features: its features are
-    its inputs."""
+    its inputs.
+
+    The draw follows the AR(1) recursion f1 = g1, f2 = rho * g1 + g2, with
+    g1 ~ GP(0, k1) and g2 ~ GP(0, k2) independent, from one standard normal
+    vector z of length 2n: g1 = chol(k1(H, H)) z[:n], g2 = chol(k2(H, H)) z[n:].
+    That is the joint prior in distribution, from two n x n factors in place
+    of one 2n x 2n factor. The jitter (None: 1e-8 * mean(diag), escalated
+    x10 on failure) applies to each kernel's Gram separately.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     H = fm.forward(params.arch, params.fmap, X)
     n = H.shape[0]
     if n == 0:
         raise ValueError("need at least one sample point")
-    # both fidelities sit at the same n inputs, so the k1 Gram repeats
-    K = _joint_cov(
-        np.tile(kern.gram(params.k1, H, H), (2, 2)), kern.gram(params.k2, H, H), params.rho, n
-    )
-    L, _ = _chol_with_escalation(K, jitter)
-    rng = np.random.default_rng(seed)
-    s = L @ rng.standard_normal(2 * n)
-    return s[:n], s[n:]
+    z = np.random.default_rng(seed).standard_normal(2 * n)
+    # one statement per kernel, so each Gram and factor is freed before the next
+    g1 = _chol_with_escalation(kern.gram(params.k1, H, H), jitter)[0] @ z[:n]
+    g2 = _chol_with_escalation(kern.gram(params.k2, H, H), jitter)[0] @ z[n:]
+    return g1, params.rho * g1 + g2

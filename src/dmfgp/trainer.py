@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("gradient_tolerance must be > 0")
         if self.frozen_noise_variance <= 0:
             raise ValueError("frozen_noise_variance must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

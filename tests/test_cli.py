@@ -286,6 +286,7 @@ class TestUsageErrors:
             ["--freeze-noise", "--noise-variance", "0"],
             ["--max-iterations", "0"],
             ["--max-iterations", "-5"],
+            ["--seed", "-3"],
         ],
     )
     def test_invalid_training_config(self, small_pipeline, capsys, flags):
@@ -302,8 +303,10 @@ class TestUsageErrors:
             ["--n1", "0"],
             ["--n2", "0"],
             ["--n1", "300"],
+            ["--seed", "-1"],
         ],
-        ids=["negative-noise", "negative-n1", "zero-n1", "zero-n2", "too-many-points"],
+        ids=["negative-noise", "negative-n1", "zero-n1", "zero-n2", "too-many-points",
+             "negative-seed"],
     )
     def test_invalid_generate_spec(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"

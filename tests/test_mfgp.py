@@ -1,9 +1,12 @@
 import copy
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dmfgp import benchmarks
 from dmfgp import feature_map as fm
 from dmfgp import kernel as kern
 from dmfgp.feature_map import LayerSpec
@@ -320,3 +323,39 @@ class TestSamplePrior:
     def test_shapes(self):
         f1, f2 = sample_prior(ar1_model(D=2), np.zeros((5, 2)), seed=0)
         assert f1.shape == (5,) and f2.shape == (5,)
+
+    @pytest.mark.parametrize("make", [ar1_model, deep_model], ids=["zero-layer", "deep"])
+    def test_draws_by_the_ar1_recursion(self, make):
+        # f1 = g1 depends on k1 alone, and f2 - rho * f1 = g2 on k2 alone
+        params = make()
+        X = np.linspace(0, 1, 12).reshape(-1, 1)
+        f1, f2 = sample_prior(params, X, seed=7)
+        other = KernelParams(0.5, np.full(params.k1.dim, -0.4))
+        for changed in (replace(params, rho=-0.6), replace(params, k2=other)):
+            np.testing.assert_array_equal(sample_prior(changed, X, seed=7)[0], f1)
+        scale = np.max(np.abs(f2))
+        for changed in (replace(params, rho=-0.6), replace(params, k1=other)):
+            g1, g2 = sample_prior(changed, X, seed=7)
+            np.testing.assert_allclose(
+                g2 - changed.rho * g1, f2 - params.rho * f1, rtol=0, atol=1e-12 * scale
+            )
+
+    def test_benchmark_draw_needs_less_than_the_joint_factor(self):
+        # the prior_sample generator's draw: 200 candidates and a 200-point grid
+        arch, fmap = fm.identity_map(2)
+        unit = KernelParams(0.0, np.zeros(2))
+        params = ModelParams(benchmarks.RHO_TRUE, unit, unit, arch, fmap)
+        x = np.concatenate(
+            [benchmarks.candidate_points("prior_sample", 0), np.linspace(0, 1, benchmarks.N_GRID)]
+        )
+        H = benchmarks.true_h_sample(x)
+        n = H.shape[0]
+        sample_prior(params, H[:5], seed=0)  # lazy set-up outside the traced call
+        tracemalloc.start()
+        try:
+            sample_prior(params, H, seed=[0, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 2n x 2n joint K and its factor alone take 8 n^2 doubles
+        assert peak < 8 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
