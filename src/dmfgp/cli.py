@@ -93,6 +93,12 @@ def cmd_train(args):
     from . import trainer
 
     baseline = args.baseline == "ar1" or args.arch.strip().lower() == "identity"
+    if args.noise_variance is None:
+        nugget = {}
+    elif args.freeze_noise:
+        nugget = {"frozen_noise_variance": args.noise_variance}
+    else:
+        raise UsageError("--noise-variance sets the frozen nugget; it needs --freeze-noise")
     try:
         config = trainer.TrainConfig(
             restarts=args.restarts,
@@ -100,7 +106,7 @@ def cmd_train(args):
             seed=args.seed,
             freeze_feature_map=baseline,
             freeze_noise=args.freeze_noise,
-            frozen_noise_variance=args.noise_variance,
+            **nugget,
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
@@ -190,8 +196,8 @@ def build_parser():
     t.add_argument("--baseline", choices=["ar1"], default=None)
     t.add_argument("--freeze-noise", action="store_true")
     t.add_argument(
-        "--noise-variance", type=float, default=1e-4,
-        help="nugget variance used with --freeze-noise",
+        "--noise-variance", type=float, default=None,
+        help="nugget variance used with --freeze-noise (default 1e-4)",
     )
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)

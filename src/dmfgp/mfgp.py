@@ -159,21 +159,20 @@ def noise_variance(log_noise):
     return NOISE_FLOOR + float(np.exp(log_noise))
 
 
-def _chol_with_escalation(K, jitter):
-    """Cholesky of K + jitter*I, escalating jitter x10 on failure.
+def _chol_with_escalation(K):
+    """Cholesky of K + j*I by the one jitter rule: j starts at
+    1e-8 * mean(diag K) and grows x10 on each failure, up to a cap of
+    1e-2 * max(mean(diag K), 1). Returns (L, j).
 
     The learned feature map can collapse distinct inputs onto nearly the
-    same feature, making K numerically singular; escalation caps at
-    1e-2 * mean(diag K).
+    same feature, making K numerically singular.
     """
     if not np.all(np.isfinite(K)):
         # overflowed hyperparameters; certainly not factorizable
         raise NotPositiveDefiniteError(np.inf)
     mean_diag = float(np.mean(np.diag(K)))
-    if jitter is None:
-        jitter = 1e-8 * mean_diag
     cap = 1e-2 * max(mean_diag, 1.0)
-    j = max(jitter, 0.0)
+    j = max(1e-8 * mean_diag, 0.0)
     # one Fortran-ordered work array, refilled per attempt and factored in
     # place: adding 0.0 everywhere and j on the diagonal gives the bits of
     # K + j * I (-0.0 becomes +0.0 as there), with no identity and no copy
@@ -212,7 +211,7 @@ def _features(params, data):
     return fm.forward(params.arch, params.fmap, np.vstack([data.x1, data.x2]))
 
 
-def _factor(params, data, H, G1, G2, jitter):
+def _factor(params, data, H, G1, G2):
     """The factor step shared by assemble and nll_gradient: K from the Grams
     G1 = k1(H, H) (scaled in place) and G2 = k2(H2, H2), the noise diagonal,
     the Cholesky factor of K and alpha."""
@@ -220,24 +219,18 @@ def _factor(params, data, H, G1, G2, jitter):
     K = _joint_cov(G1, G2, params.rho, n1)
     noise1, noise2 = noise_variance(params.log_noise1), noise_variance(params.log_noise2)
     K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n1, noise1, noise2)
-    L, j = _chol_with_escalation(K, jitter)
+    L, j = _chol_with_escalation(K)
     # a factor of a finite K and targets Dataset checked finite
     alpha = cho_solve((L, True), data.f, check_finite=False)
     return GramBundle(K, L, alpha, H, j)
 
 
-def assemble(params, data, jitter=None):
-    """Build the joint training covariance and factorize it.
-
-    Parameters
-    ----------
-    jitter : float or None
-        Initial diagonal jitter; None selects 1e-8 * mean(diag K).
-        Escalated x10 on Cholesky failure up to 1e-2 * mean(diag K).
-    """
+def assemble(params, data):
+    """Build the joint training covariance and factorize it, with the
+    diagonal jitter of _chol_with_escalation (recorded in the bundle)."""
     H = _features(params, data)
     H2 = H[data.n1 :]
-    return _factor(params, data, H, kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2), jitter)
+    return _factor(params, data, H, kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2))
 
 
 def _nll_of(b, f):
@@ -248,10 +241,10 @@ def _nll_of(b, f):
     )
 
 
-def nll(params, data, jitter=None):
+def nll(params, data):
     """Negative log marginal likelihood
     0.5 f^T K^-1 f + 0.5 log|K| + (n/2) log(2 pi), via the Cholesky factor."""
-    return _nll_of(assemble(params, data, jitter), data.f)
+    return _nll_of(assemble(params, data), data.f)
 
 
 def _gram_input_adjoint(W, T):
@@ -262,7 +255,7 @@ def _gram_input_adjoint(W, T):
     return dU, dV
 
 
-def nll_gradient(params, data, jitter=None):
+def nll_gradient(params, data):
     """NLL and its analytic gradient over all model parameters, from one
     Gram per kernel and one factorization of K.
 
@@ -288,7 +281,7 @@ def nll_gradient(params, data, jitter=None):
     # also builds K; _joint_cov scales its first Gram in place, hence the copy
     gh1 = kern.gram_grad_hyper(params.k1, H, H)
     gh2 = kern.gram_grad_hyper(params.k2, H2, H2)
-    b = _factor(params, data, H, gh1[0].copy(), gh2[0], jitter)
+    b = _factor(params, data, H, gh1[0].copy(), gh2[0])
 
     Kinv = cho_solve((b.chol, True), np.eye(n), check_finite=False)
     A = 0.5 * (Kinv - np.outer(b.alpha, b.alpha))
@@ -309,19 +302,18 @@ def nll_gradient(params, data, jitter=None):
     d_n1 = float(np.trace(A11)) * float(np.exp(params.log_noise1))
     d_n2 = float(np.trace(A22)) * float(np.exp(params.log_noise2))
 
-    if jitter is None:
-        # the automatic jitter scales with mean(diag K), which itself depends
-        # on the signal variances, rho, and the noise terms; chain that in so
-        # the gradient matches the implemented nll exactly
-        mean_diag = float(np.mean(np.diag(b.K)))
-        scale = b.jitter / mean_diag  # escalation level times 1e-8
-        trA = float(np.trace(A))
-        sv1, sv2 = params.k1.signal_variance, params.k2.signal_variance
-        d_rho += trA * scale * 2.0 * rho * sv1 * n2 / n
-        d_k1[0] += trA * scale * sv1 * (n1 + rho**2 * n2) / n
-        d_k2[0] += trA * scale * sv2 * n2 / n
-        d_n1 += trA * scale * float(np.exp(params.log_noise1)) * n1 / n
-        d_n2 += trA * scale * float(np.exp(params.log_noise2)) * n2 / n
+    # the jitter scales with mean(diag K), which itself depends on the
+    # signal variances, rho, and the noise terms; chain that in so the
+    # gradient matches the implemented nll exactly
+    mean_diag = float(np.mean(np.diag(b.K)))
+    scale = b.jitter / mean_diag  # escalation level times 1e-8
+    trA = float(np.trace(A))
+    sv1, sv2 = params.k1.signal_variance, params.k2.signal_variance
+    d_rho += trA * scale * 2.0 * rho * sv1 * n2 / n
+    d_k1[0] += trA * scale * sv1 * (n1 + rho**2 * n2) / n
+    d_k2[0] += trA * scale * sv2 * n2 / n
+    d_n1 += trA * scale * float(np.exp(params.log_noise1)) * n1 / n
+    d_n2 += trA * scale * float(np.exp(params.log_noise2)) * n2 / n
 
     d_fmap = fm.FeatureMapGrad([], [])
     if params.arch:
@@ -351,7 +343,7 @@ def nll_gradient(params, data, jitter=None):
     return ModelGradient(float(d_rho), d_k1, d_k2, d_fmap, d_n1, d_n2, _nll_of(b, data.f))
 
 
-def predict(params, data, Xstar, jitter=None):
+def predict(params, data, Xstar):
     """Posterior of the latent high-fidelity output at query points.
 
     mean = K_* K^-1 f with K_* = rho * k1(h*, H) diag(r) + [0, k2(h*, H2)];
@@ -363,7 +355,7 @@ def predict(params, data, Xstar, jitter=None):
         raise ValueError(
             f"query has {Xstar.shape[1]} columns, model expects {data.d_in}"
         )
-    b = assemble(params, data, jitter)
+    b = assemble(params, data)
     Hs = fm.forward(params.arch, params.fmap, Xstar)
     n1, rho = data.n1, params.rho
     r = np.where(np.arange(b.H.shape[0]) < n1, 1.0, rho)
@@ -376,7 +368,7 @@ def predict(params, data, Xstar, jitter=None):
     return PosteriorPrediction(mean, np.maximum(var, 0.0))
 
 
-def sample_prior(params, X, seed, jitter=None):
+def sample_prior(params, X, seed):
     """Seeded joint prior draw (f1 sample, f2 sample), both fidelities at
     inputs X. The zero-layer map draws on given features: its features are
     its inputs.
@@ -385,8 +377,8 @@ def sample_prior(params, X, seed, jitter=None):
     g1 ~ GP(0, k1) and g2 ~ GP(0, k2) independent, from one standard normal
     vector z of length 2n: g1 = chol(k1(H, H)) z[:n], g2 = chol(k2(H, H)) z[n:].
     That is the joint prior in distribution, from two n x n factors in place
-    of one 2n x 2n factor. The jitter (None: 1e-8 * mean(diag), escalated
-    x10 on failure) applies to each kernel's Gram separately.
+    of one 2n x 2n factor. Each kernel's Gram gets its own jitter, by the
+    rule of _chol_with_escalation.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     H = fm.forward(params.arch, params.fmap, X)
@@ -395,6 +387,6 @@ def sample_prior(params, X, seed, jitter=None):
         raise ValueError("need at least one sample point")
     z = np.random.default_rng(seed).standard_normal(2 * n)
     # one statement per kernel, so each Gram and factor is freed before the next
-    g1 = _chol_with_escalation(kern.gram(params.k1, H, H), jitter)[0] @ z[:n]
-    g2 = _chol_with_escalation(kern.gram(params.k2, H, H), jitter)[0] @ z[n:]
+    g1 = _chol_with_escalation(kern.gram(params.k1, H, H))[0] @ z[:n]
+    g2 = _chol_with_escalation(kern.gram(params.k2, H, H))[0] @ z[n:]
     return g1, params.rho * g1 + g2

@@ -48,11 +48,10 @@ class FittedModel:
 
 def from_report(report, data, meta=None):
     """Build a FittedModel from a TrainReport and the raw training data."""
-    meta = dict(meta or {})
-    meta.setdefault("best_nll", report.best_nll)
-    meta.setdefault(
-        "per_restart",
-        [
+    meta = {
+        **(meta or {}),
+        "best_nll": report.best_nll,
+        "per_restart": [
             {
                 "restart": r.restart_index,
                 "final_nll": r.final_nll,
@@ -61,10 +60,9 @@ def from_report(report, data, meta=None):
             }
             for r in report.per_restart
         ],
-    )
-    if report.config is not None:
-        meta.setdefault("seed", report.config.seed)
-        meta.setdefault("restarts", report.config.restarts)
+        "seed": report.config.seed,
+        "restarts": report.config.restarts,
+    }
     return FittedModel(report.best_params, data, report.center_mean, report.center_scale, meta)
 
 

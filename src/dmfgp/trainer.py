@@ -24,6 +24,7 @@ __all__ = [
     "RestartResult",
     "TrainReport",
     "TrainingFailedError",
+    "GRADIENT_TOLERANCE",
     "init_params",
     "train",
     "pack_params",
@@ -31,12 +32,15 @@ __all__ = [
     "pack_gradient",
 ]
 
+# L-BFGS-B's projected-gradient stop, and the max-norm below which a restart
+# counts as converged
+GRADIENT_TOLERANCE = 1e-6
+
 
 @dataclass
 class TrainConfig:
     restarts: int = 10
     max_iterations: int = 1000
-    gradient_tolerance: float = 1e-6  # max-norm of the gradient
     seed: int = 0
     freeze_feature_map: bool = False  # AR(1) baseline: the zero-layer map h(x) = x
     freeze_noise: bool = False
@@ -47,8 +51,6 @@ class TrainConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be > 0")
         if self.frozen_noise_variance <= 0:
             raise ValueError("frozen_noise_variance must be > 0")
         if self.seed < 0:
@@ -70,7 +72,7 @@ class TrainReport:
     per_restart: list
     center_mean: float
     center_scale: float
-    config: TrainConfig = field(repr=False, default=None)
+    config: TrainConfig = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +174,27 @@ def init_params(arch, config, restart_index):
 _PENALTY = 1e12
 
 
-def _minimize_restart(value_and_grad, x0, max_iterations, gtol):
+def _minimize_restart(value_and_grad, x0, max_iterations):
     """Minimize from one start point with L-BFGS-B.
 
     value_and_grad(x) returns (f, g), using the penalty convention above for
-    infeasible points. Returns (x, f, g, iterations, converged) or None when
+    infeasible points. Returns (x, f, iterations, converged) or None when
     the start point itself is infeasible: scipy's first evaluation, at x0,
     then gets the penalty with a zero gradient, and L-BFGS-B stops there.
     ``converged`` means the max-norm of the gradient at the solution is below
-    gtol.
+    GRADIENT_TOLERANCE.
     """
     res = minimize(
         value_and_grad,
         x0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iterations, "gtol": gtol},
+        options={"maxiter": max_iterations, "gtol": GRADIENT_TOLERANCE},
     )
     if res.fun >= _PENALTY:
         return None
-    converged = bool(np.max(np.abs(res.jac)) < gtol)
-    return res.x, float(res.fun), res.jac, int(res.nit), converged
+    converged = bool(np.max(np.abs(res.jac)) < GRADIENT_TOLERANCE)
+    return res.x, float(res.fun), int(res.nit), converged
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +245,11 @@ def train(data, arch, config):
                     return _PENALTY, np.zeros(vec.size)
                 return f, g
 
-        out = _minimize_restart(
-            value_and_grad,
-            pack_params(params0, config),
-            config.max_iterations,
-            config.gradient_tolerance,
-        )
+        out = _minimize_restart(value_and_grad, pack_params(params0, config), config.max_iterations)
         if out is None:
             results.append(RestartResult(r, np.inf, 0, False))
             continue
-        x, f, _, iterations, converged = out
+        x, f, iterations, converged = out
         results.append(RestartResult(r, float(f), iterations, converged))
         if best is None or f < best[0]:
             best = (float(f), unpack_params(x, params0, config))

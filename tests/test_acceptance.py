@@ -22,6 +22,7 @@ from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import (
     Dataset,
     ModelParams,
+    assemble,
     nll,
     nll_gradient,
     noise_variance,
@@ -120,7 +121,6 @@ def test_zero_layer_gradient_at_automatic_jitter():
 
 
 def test_c2_identity_map_reduction():
-    jitter = 1e-8
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng([90, seed])
@@ -142,11 +142,13 @@ def test_c2_identity_map_reduction():
             sf2_2=params.k2.signal_variance, ls2=params.k2.lengthscales,
             n1var=noise_variance(params.log_noise1),
             n2var=noise_variance(params.log_noise2),
+            # the oracle factors with the jitter the program itself added
+            jitter=assemble(params, data).jitter,
         )
-        d_nll = abs(nll(params, data, jitter=jitter) - oracles.ar1_nll(jitter=jitter, **args))
+        d_nll = abs(nll(params, data) - oracles.ar1_nll(**args))
         xs = np.linspace(-0.2, 1.2, 7).reshape(-1, 1)
-        pred = predict(params, data, xs, jitter=jitter)
-        mean, var = oracles.ar1_predict(xs=xs, jitter=jitter, **args)
+        pred = predict(params, data, xs)
+        mean, var = oracles.ar1_predict(xs=xs, **args)
         d_pred = max(np.max(np.abs(pred.mean - mean)), np.max(np.abs(pred.variance - var)))
         worst = max(worst, d_nll, float(d_pred))
         assert d_nll < 1e-10 and d_pred < 1e-10, f"instance {seed}: nll {d_nll:.2e} pred {d_pred:.2e}"
@@ -253,22 +255,26 @@ def test_c7_prior_sampling_statistics():
 
 
 def test_c8_cli_determinism(tmp_path):
+    kinds = ("step", "forrester", "sample")
     outputs = []
     for run in ("a", "b"):
-        d = tmp_path / run
-        d.mkdir()
-        data, mdl = d / "step.csv", d / "model.json"
-        pred, met = d / "pred.csv", d / "metrics.json"
-        assert cli_main(["generate", "--kind", "step", "--seed", "0",
-                         "--n1", "12", "--n2", "4", "--out", str(data)]) == 0
-        assert cli_main(["train", "--data", str(data), "--restarts", "2",
-                         "--max-iterations", "60", "--seed", "0", "--out", str(mdl)]) == 0
-        assert cli_main(["predict", "--model", str(mdl), "--grid", "50",
-                         "--out", str(pred)]) == 0
-        assert cli_main(["evaluate", "--model", str(mdl),
-                         "--test", str(d / "step_test.csv"), "--out", str(met)]) == 0
-        outputs.append([p.read_bytes() for p in (data, d / "step_test.csv", mdl, pred, met)])
+        artifacts = []
+        for kind in kinds:
+            d = tmp_path / run / kind
+            d.mkdir(parents=True)
+            data, mdl = d / "data.csv", d / "model.json"
+            pred, met = d / "pred.csv", d / "metrics.json"
+            assert cli_main(["generate", "--kind", kind, "--seed", "0",
+                             "--n1", "12", "--n2", "4", "--out", str(data)]) == 0
+            assert cli_main(["train", "--data", str(data), "--restarts", "2",
+                             "--max-iterations", "60", "--seed", "0", "--out", str(mdl)]) == 0
+            assert cli_main(["predict", "--model", str(mdl), "--grid", "50",
+                             "--out", str(pred)]) == 0
+            assert cli_main(["evaluate", "--model", str(mdl),
+                             "--test", str(d / "data_test.csv"), "--out", str(met)]) == 0
+            artifacts += [p.read_bytes() for p in (data, d / "data_test.csv", mdl, pred, met)]
+        outputs.append(artifacts)
     ok = outputs[0] == outputs[1]
     print(f"criterion 8 cli determinism: {'PASS' if ok else 'FAIL'} "
-          f"(5 pipeline artifacts compared byte for byte)")
+          f"({len(outputs[0])} pipeline artifacts of {', '.join(kinds)} compared byte for byte)")
     assert ok

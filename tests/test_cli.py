@@ -145,6 +145,20 @@ class TestTrain:
         run(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_noise_variance_sets_only_the_frozen_nugget(self, small_pipeline, capsys):
+        # without --freeze-noise the noise is trained and a nugget would be ignored
+        root, data, _ = small_pipeline
+        args = ["train", "--data", str(data), "--noise-variance", "1e-6",
+                "--restarts", "1", "--max-iterations", "5"]
+        trained = root / "nugget_trained.json"
+        code, _, err = run(capsys, *args, "--out", str(trained))
+        assert code == 1 and "--freeze-noise" in err
+        assert not trained.exists()
+        frozen = root / "nugget_frozen.json"
+        assert run(capsys, *args, "--freeze-noise", "--out", str(frozen))[0] == 0
+        p = model.load_model(frozen).params
+        assert p.log_noise1 == p.log_noise2 == np.log(1e-6)
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")

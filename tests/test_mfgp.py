@@ -16,6 +16,7 @@ from dmfgp.mfgp import (
     Dataset,
     ModelParams,
     NotPositiveDefiniteError,
+    _chol_with_escalation,
     assemble,
     nll,
     nll_gradient,
@@ -25,8 +26,6 @@ from dmfgp.mfgp import (
 )
 
 from oracles import ar1_joint_cov, ar1_nll, ar1_predict
-
-JITTER = 1e-10  # fixed explicit jitter so package and oracle factor the same matrix
 
 
 def ar1_model(D=1, rho=1.3, sv1=1.5, ls1=0.7, sv2=0.4, ls2=1.2, n1=1e-4, n2=1e-5):
@@ -58,7 +57,10 @@ def random_data(seed, n1=7, n2=3, D=1):
 
 
 def oracle_args(params, data):
+    """The oracles' arguments, with the jitter the program itself added, so
+    package and oracle factor the same matrix."""
     return dict(
+        jitter=assemble(params, data).jitter,
         x1=data.x1, f1=data.f1, x2=data.x2, f2=data.f2,
         rho=params.rho,
         sf2_1=params.k1.signal_variance, ls1=params.k1.lengthscales,
@@ -95,12 +97,37 @@ class TestNoiseVariance:
         assert noise_variance(np.log(1e-4)) == pytest.approx(1e-4 + NOISE_FLOOR)
 
 
+class TestCholWithEscalation:
+    def test_escalates_by_tens_until_the_factor_exists(self):
+        # indefinite by 1e-7: 1e-8 and 1e-7 fail, 1e-6 succeeds
+        K = np.array([[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0]])
+        L, j = _chol_with_escalation(K)
+        assert j == pytest.approx(1e-6, rel=1e-12)
+        np.testing.assert_allclose(L @ L.T, K + j * np.eye(2), rtol=0, atol=1e-15)
+
+    def test_raises_past_the_cap(self):
+        # eigenvalue -1: no jitter up to the 1e-2 cap helps
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            _chol_with_escalation(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert e.value.final_jitter == pytest.approx(0.1, rel=1e-12)
+
+    def test_raises_on_non_finite_entries(self):
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            _chol_with_escalation(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        assert e.value.final_jitter == np.inf
+
+    def test_well_conditioned_jitter_is_the_starting_rule(self):
+        params, data = ar1_model(), random_data(0)
+        b = assemble(params, data)
+        assert b.jitter == 1e-8 * np.mean(np.diag(b.K))
+
+
 class TestJointCovariance:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_oracle_with_identity_map(self, seed):
         params = ar1_model(D=2, rho=0.8)
         data = random_data(seed, D=2)
-        b = assemble(params, data, jitter=JITTER)
+        b = assemble(params, data)
         expected = ar1_joint_cov(
             data.x1, data.x2, params.rho,
             params.k1.signal_variance, params.k1.lengthscales,
@@ -120,7 +147,7 @@ class TestJointCovariance:
             1.0, KernelParams(0.0, np.zeros(2)), KernelParams(0.0, np.zeros(2)), arch, fmap
         )
         data = random_data(1)
-        b = assemble(params, data, jitter=JITTER)
+        b = assemble(params, data)
         np.testing.assert_array_equal(b.H[: data.n1], fm.forward(arch, fmap, data.x1))
         np.testing.assert_array_equal(b.H[data.n1 :], fm.forward(arch, fmap, data.x2))
 
@@ -132,7 +159,7 @@ class TestJointCovariance:
         )
         with pytest.raises(NotPositiveDefiniteError):
             with np.errstate(over="ignore"):
-                assemble(params, random_data(2), jitter=JITTER)
+                assemble(params, random_data(2))
 
 
 class TestNll:
@@ -140,22 +167,26 @@ class TestNll:
     def test_matches_oracle(self, seed):
         params = ar1_model(rho=0.6 + 0.3 * seed)
         data = random_data(seed)
-        expected = ar1_nll(jitter=JITTER, **oracle_args(params, data))
-        assert nll(params, data, jitter=JITTER) == pytest.approx(expected, rel=1e-10)
+        expected = ar1_nll(**oracle_args(params, data))
+        assert nll(params, data) == pytest.approx(expected, rel=1e-10)
 
     def test_single_observation_closed_form(self):
         # one low-fidelity point: a univariate Gaussian likelihood
         params = ar1_model()
         data = Dataset([[0.3]], [0.7], np.zeros((0, 1)), np.zeros(0))
-        v = params.k1.signal_variance + noise_variance(params.log_noise1) + JITTER
+        v = params.k1.signal_variance + noise_variance(params.log_noise1)
+        v += assemble(params, data).jitter
         expected = 0.5 * 0.7**2 / v + 0.5 * np.log(v) + 0.5 * np.log(2 * np.pi)
-        assert nll(params, data, jitter=JITTER) == pytest.approx(expected, rel=1e-12)
+        assert nll(params, data) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNllGradient:
-    def fd(self, mutate, params, data, step=1e-6):
+    def fd(self, mutate, params, data, step=1e-4):
+        # the jitter follows mean(diag K), and so moves the low-fidelity
+        # diagonal in ulp steps as rho does; a step this wide keeps that
+        # roundoff staircase below the tolerance, and truncation too
         def at(eps):
-            return nll(mutate(params, eps), data, jitter=JITTER)
+            return nll(mutate(params, eps), data)
 
         return (at(step) - at(-step)) / (2 * step)
 
@@ -163,7 +194,7 @@ class TestNllGradient:
     def test_scalar_params_identity_map(self, seed):
         params = ar1_model(rho=0.9)
         data = random_data(seed)
-        g = nll_gradient(params, data, jitter=JITTER)
+        g = nll_gradient(params, data)
 
         def with_rho(p, eps):
             return ModelParams(p.rho + eps, p.k1, p.k2, p.arch, p.fmap, p.log_noise1, p.log_noise2)
@@ -184,15 +215,14 @@ class TestNllGradient:
         assert g.k1[0] == pytest.approx(self.fd(with_sv1, params, data), rel=1e-5, abs=1e-7)
         assert g.k2[1] == pytest.approx(self.fd(with_ls2, params, data), rel=1e-5, abs=1e-7)
 
-    @pytest.mark.parametrize("jitter", [JITTER, None])
-    def test_carries_the_nll_it_was_taken_at(self, jitter):
+    def test_carries_the_nll_it_was_taken_at(self):
         params = ar1_model(rho=0.9)
         data = random_data(8)
-        assert nll_gradient(params, data, jitter=jitter).nll == nll(params, data, jitter=jitter)
+        assert nll_gradient(params, data).nll == nll(params, data)
 
     def test_frozen_map_gradient_is_zero(self):
         params = ar1_model()
-        g = nll_gradient(params, random_data(0), jitter=JITTER)
+        g = nll_gradient(params, random_data(0))
         for w, b in zip(g.fmap.weights, g.fmap.biases):
             assert not w.any() and not b.any()
 
@@ -200,7 +230,7 @@ class TestNllGradient:
         params = deep_model()
         fmap = params.fmap
         data = random_data(6)
-        g = nll_gradient(params, data, jitter=JITTER)
+        g = nll_gradient(params, data)
         step = 1e-5
         for ell in range(2):
             w = fmap.weights[ell]
@@ -208,7 +238,7 @@ class TestNllGradient:
                 def at(eps, ell=ell, idx=idx):
                     p = copy.deepcopy(params)
                     p.fmap.weights[ell][idx] += eps
-                    return nll(p, data, jitter=JITTER)
+                    return nll(p, data)
 
                 fd = (at(step) - at(-step)) / (2 * step)
                 assert g.fmap.weights[ell][idx] == pytest.approx(fd, rel=2e-5, abs=1e-6)
@@ -217,24 +247,24 @@ class TestNllGradient:
                 def at(eps, ell=ell, j=j):
                     p = copy.deepcopy(params)
                     p.fmap.biases[ell][j] += eps
-                    return nll(p, data, jitter=JITTER)
+                    return nll(p, data)
 
                 fd = (at(step) - at(-step)) / (2 * step)
                 assert g.fmap.biases[ell][j] == pytest.approx(fd, rel=2e-5, abs=1e-6)
 
     def test_automatic_jitter_chain_term(self):
-        # with jitter=None the added diagonal tracks mean(diag K); the gradient
-        # of the signal variances must include that dependence
+        # the added diagonal tracks mean(diag K); the gradient of the signal
+        # variances must include that dependence
         params = ar1_model(rho=0.9)
         data = random_data(7)
-        g = nll_gradient(params, data, jitter=None)
+        g = nll_gradient(params, data)
         step = 1e-5
 
         def at(eps):
             k1 = KernelParams(params.k1.log_signal_variance + eps, params.k1.log_lengthscales)
             p = ModelParams(params.rho, k1, params.k2, params.arch, params.fmap,
                             params.log_noise1, params.log_noise2)
-            return nll(p, data, jitter=None)
+            return nll(p, data)
 
         fd = (at(step) - at(-step)) / (2 * step)
         assert g.k1[0] == pytest.approx(fd, rel=1e-5, abs=1e-7)
@@ -251,7 +281,7 @@ class TestNllGradient:
                 return _fn(*args)
 
             monkeypatch.setattr(kern, name, counted)
-        nll_gradient(deep_model() if deep else ar1_model(), random_data(6), jitter=JITTER)
+        nll_gradient(deep_model() if deep else ar1_model(), random_data(6))
         expected = {"gram_grad_hyper": 2}
         if deep:
             expected["gram_grad_inputs"] = 2
@@ -264,8 +294,8 @@ class TestPredict:
         params = ar1_model(rho=1.1)
         data = random_data(seed)
         xs = np.linspace(-0.5, 2.5, 9).reshape(-1, 1)
-        out = predict(params, data, xs, jitter=JITTER)
-        mean, var = ar1_predict(xs=xs, jitter=JITTER, **oracle_args(params, data))
+        out = predict(params, data, xs)
+        mean, var = ar1_predict(xs=xs, **oracle_args(params, data))
         np.testing.assert_allclose(out.mean, mean, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(out.variance, var, rtol=1e-8, atol=1e-11)
 
@@ -274,14 +304,14 @@ class TestPredict:
         rng = np.random.default_rng(3)
         x2 = rng.uniform(0, 1, (3, 1))
         data = Dataset(rng.uniform(0, 1, (6, 1)), rng.normal(size=6), x2, rng.normal(size=3))
-        out = predict(params, data, x2, jitter=1e-12)
+        out = predict(params, data, x2)
         np.testing.assert_allclose(out.mean, data.f2, atol=1e-4)
         assert np.all(out.variance < 1e-4)
 
     def test_reverts_to_prior_far_from_data(self):
         params = ar1_model(rho=0.7)
         data = random_data(4)
-        out = predict(params, data, [[50.0]], jitter=JITTER)
+        out = predict(params, data, [[50.0]])
         prior = params.rho**2 * params.k1.signal_variance + params.k2.signal_variance
         assert out.mean[0] == pytest.approx(0.0, abs=1e-8)
         assert out.variance[0] == pytest.approx(prior, rel=1e-8)
@@ -289,7 +319,7 @@ class TestPredict:
     def test_variance_nonnegative(self):
         params = ar1_model(n1=1e-8, n2=1e-8)
         data = random_data(5)
-        out = predict(params, data, data.x2, jitter=None)
+        out = predict(params, data, data.x2)
         assert np.all(out.variance >= 0.0)
 
     def test_rejects_wrong_query_width(self):
@@ -317,7 +347,7 @@ class TestSamplePrior:
         # with a negligible discrepancy kernel, f2 = rho * f1 almost exactly
         params = ar1_model(rho=1.7, sv2=1e-16)
         X = np.linspace(0, 1, 10).reshape(-1, 1)
-        f1, f2 = sample_prior(params, X, seed=3, jitter=1e-12)
+        f1, f2 = sample_prior(params, X, seed=3)
         np.testing.assert_allclose(f2, 1.7 * f1, atol=1e-4)
 
     def test_shapes(self):

@@ -7,6 +7,7 @@ from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import Dataset, ModelGradient, ModelParams, nll, nll_gradient, sample_prior
 from dmfgp.trainer import (
     _PENALTY,
+    GRADIENT_TOLERANCE,
     TrainConfig,
     _minimize_restart,
     center_targets,
@@ -42,10 +43,6 @@ class TestTrainConfig:
     def test_rejects_nonpositive_max_iterations(self, iterations):
         with pytest.raises(ValueError):
             TrainConfig(max_iterations=iterations)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            TrainConfig(gradient_tolerance=0.0)
 
 
 class TestInitParams:
@@ -179,7 +176,7 @@ class TestTrain:
 
     def test_converged_restart_meets_gradient_tolerance(self):
         data = prior_data(7)
-        cfg = TrainConfig(seed=7, restarts=3, max_iterations=2000, gradient_tolerance=1e-4)
+        cfg = TrainConfig(seed=7, restarts=3, max_iterations=2000)
         report = train(data, ARCH, cfg)
         if not any(r.converged for r in report.per_restart):
             pytest.skip("no restart converged on this instance")
@@ -188,7 +185,7 @@ class TestTrain:
         best = min(report.per_restart, key=lambda r: r.final_nll)
         if best.converged:
             g = pack_gradient(nll_gradient(report.best_params, centered), cfg)
-            assert np.max(np.abs(g)) < cfg.gradient_tolerance
+            assert np.max(np.abs(g)) < GRADIENT_TOLERANCE
 
     def test_identity_baseline_equals_frozen_map_training(self):
         data = prior_data(8)
@@ -232,7 +229,7 @@ class TestMinimizeRestart:
             calls.append(None)
             return _PENALTY, np.zeros(x.size)
 
-        assert _minimize_restart(penalised, np.zeros(3), 100, 1e-6) is None
+        assert _minimize_restart(penalised, np.zeros(3), 100) is None
         assert len(calls) == 1
 
 
