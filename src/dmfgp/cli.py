@@ -92,7 +92,8 @@ def cmd_train(args):
     # imported here, not at the top: only training needs scipy.optimize
     from . import trainer
 
-    baseline = args.baseline == "ar1" or args.arch.strip().lower() == "identity"
+    arch_text = "identity" if args.baseline == "ar1" else args.arch or "3-2"
+    baseline = arch_text.strip().lower() == "identity"
     if args.noise_variance is None:
         nugget = {}
     elif args.freeze_noise:
@@ -112,7 +113,7 @@ def cmd_train(args):
         raise UsageError(str(e)) from None
     data = io.read_dataset(args.data)
     # the baseline trains the zero-layer map and reads only the input width
-    arch = parse_arch(args.arch, data.d_in) or [LayerSpec(data.d_in, data.d_in, "identity")]
+    arch = [LayerSpec(data.d_in, data.d_in, "identity")] if baseline else parse_arch(arch_text, data.d_in)
     report = trainer.train(data, arch, config)
     fitted = model.from_report(report, data, {"baseline": "ar1" if baseline else None})
     out = Path(args.out)
@@ -120,12 +121,10 @@ def cmd_train(args):
     model.save_model(fitted, out)
 
     lines = [f"trained on {args.data} (n1={data.n1}, n2={data.n2})"]
-    lines.append(f"architecture: {'identity (AR(1) baseline)' if baseline else args.arch}")
+    lines.append(f"architecture: {'identity (AR(1) baseline)' if baseline else arch_text}")
     for r in report.per_restart:
-        status = "converged" if r.converged else "stopped"
         lines.append(
-            f"restart {r.restart_index}: nll={r.final_nll:.6f} "
-            f"({r.iterations} iterations, {status})"
+            f"restart {r.restart_index}: nll={r.final_nll:.6f} ({r.iterations} iterations, {r.stop})"
         )
     lines.append(f"best nll: {report.best_nll:.6f}")
     lines.append(f"model written to {out}")
@@ -189,11 +188,12 @@ def build_parser():
 
     t = sub.add_parser("train", help="fit a model by marginal-likelihood maximization")
     t.add_argument("--data", required=True)
-    t.add_argument("--arch", default="3-2")
+    a = t.add_mutually_exclusive_group()
+    a.add_argument("--arch", default=None, help='layer widths, e.g. "3-2" (the default), or "identity"')
+    a.add_argument("--baseline", choices=["ar1"], default=None, help="the same as --arch identity")
     t.add_argument("--restarts", type=int, default=10)
     t.add_argument("--max-iterations", type=int, default=1000)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--baseline", choices=["ar1"], default=None)
     t.add_argument("--freeze-noise", action="store_true")
     t.add_argument(
         "--noise-variance", type=float, default=None,

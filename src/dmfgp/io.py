@@ -99,20 +99,21 @@ def read_test_grid(path):
 
 
 def read_queries(path):
-    """Query file: either x0,...,x{D-1} columns or a dataset/test CSV, with
-    at least one row, as many fields per row as the header names, and only
-    finite values."""
+    """Query file: either x0,...,x{D-1} columns or a dataset/test CSV, every
+    row of which is a query, with at least one row, as many fields per row
+    as the header names, and only finite values."""
     with open(path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         body = fh.read()
     if header is None:
         raise ValueError(f"{path}: empty file")
-    if header[0] == "fidelity":
-        X, _ = read_test_grid(path)
-    elif not all(h.startswith("x") for h in header):
+    if header[0] != "fidelity" and not all(h.startswith("x") for h in header):
         raise ValueError(f"{path}: expected columns x0,...,x{{D-1}}, got {header}")
-    elif not body.strip():
+    if not body.strip():
         raise ValueError(f"{path}: no query rows")
+    if header[0] == "fidelity":
+        rows, d_in = _read_fidelity_rows(path)
+        X = np.array([x for _, x, _ in rows]).reshape(-1, d_in)
     else:
         try:
             X = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)

@@ -56,7 +56,7 @@ def from_report(report, data, meta=None):
                 "restart": r.restart_index,
                 "final_nll": r.final_nll,
                 "iterations": r.iterations,
-                "converged": r.converged,
+                "stop": r.stop,
             }
             for r in report.per_restart
         ],

@@ -32,9 +32,11 @@ __all__ = [
     "pack_gradient",
 ]
 
-# L-BFGS-B's projected-gradient stop, and the max-norm below which a restart
-# counts as converged
+# L-BFGS-B's projected-gradient tolerance (its gtol)
 GRADIENT_TOLERANCE = 1e-6
+
+# the stop reason of a restart whose start point cannot be factorized
+INFEASIBLE_START = "INFEASIBLE START: covariance not positive definite at x0"
 
 
 @dataclass
@@ -62,7 +64,7 @@ class RestartResult:
     restart_index: int
     final_nll: float
     iterations: int
-    converged: bool
+    stop: str  # L-BFGS-B's own message, verbatim, or INFEASIBLE_START
 
 
 @dataclass
@@ -96,14 +98,12 @@ def _layout(p, config):
     return parts
 
 
-def pack_params(params, config):
-    """Flatten the unfrozen parameters of a ModelParams into a vector."""
-    return np.concatenate([a.ravel() for a in _layout(params, config)])
+def pack_params(p, config):
+    """Flatten the unfrozen parts of a ModelParams or a ModelGradient into a vector."""
+    return np.concatenate([a.ravel() for a in _layout(p, config)])
 
 
-def pack_gradient(grad, config):
-    """Flatten a ModelGradient consistently with pack_params."""
-    return np.concatenate([a.ravel() for a in _layout(grad, config)])
+pack_gradient = pack_params  # a ModelGradient packs in the same order
 
 
 def unpack_params(vec, template, config):
@@ -178,11 +178,11 @@ def _minimize_restart(value_and_grad, x0, max_iterations):
     """Minimize from one start point with L-BFGS-B.
 
     value_and_grad(x) returns (f, g), using the penalty convention above for
-    infeasible points. Returns (x, f, iterations, converged) or None when
+    infeasible points. Returns (x, f, iterations, message) or None when
     the start point itself is infeasible: scipy's first evaluation, at x0,
     then gets the penalty with a zero gradient, and L-BFGS-B stops there.
-    ``converged`` means the max-norm of the gradient at the solution is below
-    GRADIENT_TOLERANCE.
+    The message is L-BFGS-B's own stop reason: its relative-reduction test
+    (factr), the iteration cap, or an abnormal end of the line search.
     """
     res = minimize(
         value_and_grad,
@@ -193,8 +193,7 @@ def _minimize_restart(value_and_grad, x0, max_iterations):
     )
     if res.fun >= _PENALTY:
         return None
-    converged = bool(np.max(np.abs(res.jac)) < GRADIENT_TOLERANCE)
-    return res.x, float(res.fun), int(res.nit), converged
+    return res.x, float(res.fun), int(res.nit), res.message
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +246,12 @@ def train(data, arch, config):
 
         out = _minimize_restart(value_and_grad, pack_params(params0, config), config.max_iterations)
         if out is None:
-            results.append(RestartResult(r, np.inf, 0, False))
+            results.append(RestartResult(r, np.inf, 0, INFEASIBLE_START))
             continue
-        x, f, iterations, converged = out
-        results.append(RestartResult(r, float(f), iterations, converged))
+        x, f, iterations, stop = out
+        results.append(RestartResult(r, f, iterations, stop))
         if best is None or f < best[0]:
-            best = (float(f), unpack_params(x, params0, config))
+            best = (f, unpack_params(x, params0, config))
 
     if best is None:
         raise TrainingFailedError(

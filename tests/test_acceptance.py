@@ -155,6 +155,7 @@ def test_c2_identity_map_reduction():
     print(f"criterion 2 identity-map reduction: PASS (worst discrepancy {worst:.2e})")
 
 
+@pytest.mark.slow
 def test_c3_step_benchmark():
     hits = 0
     lines = []
@@ -172,6 +173,7 @@ def test_c3_step_benchmark():
     assert ok, f"only {hits}/5 seeds reached rmse < 0.15: " + "; ".join(lines)
 
 
+@pytest.mark.slow
 def test_c4_forrester_benchmark():
     wins = 0
     coverages = []
@@ -193,6 +195,7 @@ def test_c4_forrester_benchmark():
     )
 
 
+@pytest.mark.slow
 def test_c5_prior_sample_benchmark():
     wins = 0
     coverages = []
@@ -214,6 +217,7 @@ def test_c5_prior_sample_benchmark():
     )
 
 
+@pytest.mark.slow
 def test_c6_interpolation():
     worst_err = 0.0
     worst_std = 0.0

@@ -90,6 +90,17 @@ class TestTrain:
         report = (root / "model.report.txt").read_text()
         assert "best nll" in report and "restart 1" in report
 
+    def test_report_and_model_carry_each_restart_stop_reason(self, small_pipeline):
+        root, _, mdl = small_pipeline
+        restarts = model.load_model(mdl).meta["per_restart"]
+        report = (root / "model.report.txt").read_text().splitlines()
+        assert len(restarts) == 2
+        for r in restarts:
+            # L-BFGS-B's own message: factr, the iteration cap or a failed line search
+            assert "converged" not in r
+            assert r["stop"].startswith(("CONVERGENCE: ", "STOP: ", "ABNORMAL: "))
+            assert f"({r['iterations']} iterations, {r['stop']})" in report[2 + r["restart"]]
+
     def test_baseline_records_identity_arch(self, small_pipeline, capsys):
         root, data, _ = small_pipeline
         out = root / "ar1.json"
@@ -228,6 +239,15 @@ class TestPredict:
         assert "2 columns" in err and "expects 1" in err
         assert not out.exists()
 
+    def test_dataset_csv_queries_every_row(self, small_pipeline, capsys):
+        root, data, mdl = small_pipeline
+        out = root / "pred_dataset.csv"
+        code, _, _ = run(capsys, "predict", "--model", str(mdl), "--queries", str(data), "--out", str(out))
+        assert code == 0
+        d = io.read_dataset(data)
+        X = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)[:, :1]
+        np.testing.assert_array_equal(X, np.vstack([d.x1, d.x2]))  # 12 low- and 4 high-fidelity rows
+
     def test_missing_model(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "predict", "--model", str(tmp_path / "no.json"),
@@ -352,6 +372,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "predict", "--model", str(mdl), "--grid", "5", "--out", str(out))
         assert code == 1
         assert "--queries" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--baseline", "ar1", "--arch", "5-5-2"], ["--arch", "3-2", "--baseline", "ar1"]]
+    )
+    def test_baseline_and_arch_are_exclusive(self, small_pipeline, capsys, flags):
+        root, data, _ = small_pipeline
+        out = root / "both.json"
+        code, _, err = run(capsys, "train", "--data", str(data), *flags, "--out", str(out))
+        assert code == 1
+        assert "not allowed with" in err
         assert not out.exists()
 
     def test_bad_arch(self, small_pipeline, capsys):

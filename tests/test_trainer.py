@@ -7,7 +7,7 @@ from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import Dataset, ModelGradient, ModelParams, nll, nll_gradient, sample_prior
 from dmfgp.trainer import (
     _PENALTY,
-    GRADIENT_TOLERANCE,
+    INFEASIBLE_START,
     TrainConfig,
     _minimize_restart,
     center_targets,
@@ -174,18 +174,41 @@ class TestTrain:
             pack_params(a.best_params, cfg), pack_params(b.best_params, cfg)
         )
 
-    def test_converged_restart_meets_gradient_tolerance(self):
-        data = prior_data(7)
-        cfg = TrainConfig(seed=7, restarts=3, max_iterations=2000)
-        report = train(data, ARCH, cfg)
-        if not any(r.converged for r in report.per_restart):
-            pytest.skip("no restart converged on this instance")
-        centered, _, _ = center_targets(data)
-        # best params come from some restart; check the tolerance claim on the best
-        best = min(report.per_restart, key=lambda r: r.final_nll)
-        if best.converged:
-            g = pack_gradient(nll_gradient(report.best_params, centered), cfg)
-            assert np.max(np.abs(g)) < GRADIENT_TOLERANCE
+    @pytest.mark.parametrize(
+        "cap, reason",
+        [
+            (3, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+            (1000, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+        ],
+        ids=["iteration-cap", "factr"],
+    )
+    def test_each_restart_reports_the_optimizer_message(self, monkeypatch, cap, reason):
+        messages, real_minimize = [], trainer.minimize
+
+        def recording_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            messages.append(res.message)
+            return res
+
+        monkeypatch.setattr(trainer, "minimize", recording_minimize)
+        cfg = TrainConfig(seed=0, restarts=2, max_iterations=cap, freeze_feature_map=True)
+        report = train(prior_data(0), ARCH, cfg)
+        assert [r.stop for r in report.per_restart] == messages == [reason, reason]
+
+    def test_infeasible_start_reports_the_fixed_reason(self, monkeypatch):
+        real_init = trainer.init_params
+
+        def init_params_nan_rho_first(arch, config, restart_index):
+            params = real_init(arch, config, restart_index)
+            if restart_index == 0:
+                params.rho = np.nan
+            return params
+
+        monkeypatch.setattr(trainer, "init_params", init_params_nan_rho_first)
+        cfg = TrainConfig(seed=0, restarts=2, max_iterations=3, freeze_feature_map=True)
+        first, second = train(prior_data(0), ARCH, cfg).per_restart
+        assert (first.final_nll, first.iterations, first.stop) == (np.inf, 0, INFEASIBLE_START)
+        assert second.stop == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
 
     def test_identity_baseline_equals_frozen_map_training(self):
         data = prior_data(8)
