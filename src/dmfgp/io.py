@@ -22,8 +22,22 @@ __all__ = [
 ]
 
 
+def _inputs(d_in):
+    return [f"x{d}" for d in range(d_in)]
+
+
 def _header(d_in):
-    return ["fidelity"] + [f"x{d}" for d in range(d_in)] + ["y"]
+    return ["fidelity"] + _inputs(d_in) + ["y"]
+
+
+def _check_header(path, header, expected):
+    """Raise unless header is expected(D) for its own D >= 1, the input
+    columns x0,...,x{D-1} in order; the message names the expected header."""
+    d_in = len(header) - len(expected(0))
+    if d_in < 1 or header != expected(d_in):
+        want = ",".join(expected(max(d_in, 1)))
+        raise ValueError(f"{path}: expected header '{want}', got '{','.join(header)}'")
+    return d_in
 
 
 def _write_csv(path, header, blocks):
@@ -49,9 +63,9 @@ def _read_fidelity_rows(path):
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "fidelity" or header[-1] != "y":
-            raise ValueError(f"{path}: expected header 'fidelity,x0,...,y', got {header}")
-        d_in = len(header) - 2
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        d_in = _check_header(path, header, _header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -107,8 +121,8 @@ def read_queries(path):
         body = fh.read()
     if header is None:
         raise ValueError(f"{path}: empty file")
-    if header[0] != "fidelity" and not all(h.startswith("x") for h in header):
-        raise ValueError(f"{path}: expected columns x0,...,x{{D-1}}, got {header}")
+    if header[:1] != ["fidelity"]:
+        _check_header(path, header, _inputs)
     if not body.strip():
         raise ValueError(f"{path}: no query rows")
     if header[0] == "fidelity":
@@ -131,7 +145,7 @@ def write_predictions(path, X, mean, std, features):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     features = np.atleast_2d(np.asarray(features, dtype=float))
     cols = (
-        [f"x{d}" for d in range(X.shape[1])]
+        _inputs(X.shape[1])
         + ["mean", "std"]
         + [f"h{d}" for d in range(features.shape[1])]
     )

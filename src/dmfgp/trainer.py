@@ -4,7 +4,10 @@ optimization.
 The objective is smooth and has at most a few hundred parameters, so a
 BFGS-family minimizer with a monotone line search (scipy's L-BFGS-B) is
 sufficient. Restarts guard against the multimodality introduced by
-feature-map symmetries. Parameter settings whose covariance cannot be
+feature-map symmetries: each draws its own layer weights. The zero-layer map
+(the AR(1) baseline) draws nothing, so its restarts share one start point;
+train minimizes each distinct start point once and copies its record to the
+restarts that repeat it. Parameter settings whose covariance cannot be
 factorized (e.g. from sigmoid saturation degenerating the kernel matrix)
 are mapped to a large penalty value, which the line search rejects.
 """
@@ -145,7 +148,8 @@ def init_params(arch, config, restart_index):
     hyperparameters (all logs zero); rho = 1; noise variance 1e-4
     (config.frozen_noise_variance instead when the noise is frozen). With
     config.freeze_feature_map the map is the zero-layer one on arch's input
-    width (the AR(1) baseline).
+    width (the AR(1) baseline); then nothing is drawn, and every restart
+    gets the same start point.
     """
     rng = np.random.default_rng([config.seed, restart_index])
     if config.freeze_feature_map:
@@ -229,8 +233,17 @@ def train(data, arch, config):
 
     results = []
     best = None
+    # the record of each start point minimized so far, keyed by its packed
+    # bytes: the frozen parts come from the config, so equal bytes mean the
+    # same objective from the same point, and L-BFGS-B would repeat its run
+    outcomes = {}
     for r in range(config.restarts):
         params0 = init_params(arch, config, r)
+        x0 = pack_params(params0, config)
+        key = x0.tobytes()
+        if key in outcomes:
+            results.append(RestartResult(r, *outcomes[key]))
+            continue
 
         def value_and_grad(vec, _template=params0):
             with np.errstate(all="ignore"):
@@ -244,14 +257,15 @@ def train(data, arch, config):
                     return _PENALTY, np.zeros(vec.size)
                 return f, g
 
-        out = _minimize_restart(value_and_grad, pack_params(params0, config), config.max_iterations)
+        out = _minimize_restart(value_and_grad, x0, config.max_iterations)
         if out is None:
-            results.append(RestartResult(r, np.inf, 0, INFEASIBLE_START))
-            continue
-        x, f, iterations, stop = out
-        results.append(RestartResult(r, f, iterations, stop))
-        if best is None or f < best[0]:
-            best = (f, unpack_params(x, params0, config))
+            outcomes[key] = (np.inf, 0, INFEASIBLE_START)
+        else:
+            x, f, iterations, stop = out
+            outcomes[key] = (f, iterations, stop)
+            if best is None or f < best[0]:
+                best = (f, unpack_params(x, params0, config))
+        results.append(RestartResult(r, *outcomes[key]))
 
     if best is None:
         raise TrainingFailedError(

@@ -229,6 +229,26 @@ class TestPredict:
         assert str(q) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x1,x0\n0.1,0.9\n", "x0,x1"),
+            ("xylophone\n0.5\n", "x0"),
+            ("fidelity,y\n2,0.5\n", "fidelity,x0,y"),
+            ("fidelity,x1,x0,y\n2,0.1,0.9,0.0\n", "fidelity,x0,x1,y"),
+        ],
+        ids=["swapped", "misnamed", "no-input", "swapped-test-grid"],
+    )
+    def test_reads_input_columns_by_name(self, small_pipeline, tmp_path, capsys, text, expected):
+        _, _, mdl = small_pipeline
+        q = tmp_path / "bad_header.csv"
+        q.write_text(text)
+        out = tmp_path / "pred_bad.csv"
+        code, _, err = run(capsys, "predict", "--model", str(mdl), "--queries", str(q), "--out", str(out))
+        assert code == 2
+        assert f"{q}: expected header '{expected}'" in err
+        assert not out.exists()
+
     def test_rejects_queries_wider_than_the_model(self, small_pipeline, tmp_path, capsys):
         _, _, mdl = small_pipeline
         q = tmp_path / "two_columns.csv"

@@ -49,6 +49,24 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             io.read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "header, expected",
+        [
+            ("fidelity,x1,x0,y", "fidelity,x0,x1,y"),
+            ("fidelity,x0,x2,y", "fidelity,x0,x1,y"),
+            ("fidelity,xylophone,y", "fidelity,x0,y"),
+            ("fidelity,y", "fidelity,x0,y"),
+            ("x0,fidelity,y", "fidelity,x0,y"),
+        ],
+        ids=["swapped", "gap", "misnamed", "no-input", "fidelity-not-first"],
+    )
+    def test_reads_input_columns_by_name(self, tmp_path, header, expected):
+        path = tmp_path / "bad.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1"] * width) + "\n" + ",".join(["2"] * width) + "\n")
+        with pytest.raises(ValueError, match=f"expected header '{expected}', got '{header}'"):
+            io.read_dataset(path)
+
     def test_rejects_bad_fidelity(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("fidelity,x0,y\n3,0.0,0.0\n")

@@ -142,6 +142,26 @@ class TestCenterTargets:
         np.testing.assert_array_equal(centered.f, np.zeros(3))
 
 
+def record_minimize(monkeypatch):
+    """Route trainer's minimize through a wrapper; returns the list to which
+    each call's (x0, result) pair is appended."""
+    calls, real_minimize = [], trainer.minimize
+
+    def recording_minimize(fun, x0, *args, **kwargs):
+        res = real_minimize(fun, x0, *args, **kwargs)
+        res.x0 = np.array(x0)
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(trainer, "minimize", recording_minimize)
+    return calls
+
+
+def record(r):
+    """A restart's record, its index aside."""
+    return (r.final_nll, r.iterations, r.stop)
+
+
 class TestTrain:
     def test_descent_from_generating_params(self):
         data = prior_data(3)
@@ -183,17 +203,12 @@ class TestTrain:
         ids=["iteration-cap", "factr"],
     )
     def test_each_restart_reports_the_optimizer_message(self, monkeypatch, cap, reason):
-        messages, real_minimize = [], trainer.minimize
-
-        def recording_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            messages.append(res.message)
-            return res
-
-        monkeypatch.setattr(trainer, "minimize", recording_minimize)
+        # the two AR(1) restarts share their start point, so one call serves both
+        calls = record_minimize(monkeypatch)
         cfg = TrainConfig(seed=0, restarts=2, max_iterations=cap, freeze_feature_map=True)
         report = train(prior_data(0), ARCH, cfg)
-        assert [r.stop for r in report.per_restart] == messages == [reason, reason]
+        assert [res.message for res in calls] == [reason]
+        assert [r.stop for r in report.per_restart] == [reason, reason]
 
     def test_infeasible_start_reports_the_fixed_reason(self, monkeypatch):
         real_init = trainer.init_params
@@ -223,6 +238,71 @@ class TestTrain:
         bad = [LayerSpec(2, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
         with pytest.raises(ValueError):
             train(data, bad, TrainConfig(seed=0, restarts=1))
+
+
+class TestDistinctStarts:
+    """train minimizes each distinct start point once and copies that run's
+    record to the restarts that repeat it."""
+
+    AR1 = TrainConfig(seed=0, restarts=10, freeze_feature_map=True)
+
+    def test_ar1_restarts_minimize_once(self, monkeypatch):
+        calls = record_minimize(monkeypatch)
+        report = train(prior_data(0), ARCH, self.AR1)
+        assert len(calls) == 1
+        first = (calls[0].fun, calls[0].nit, calls[0].message)
+        assert [r.restart_index for r in report.per_restart] == list(range(10))
+        assert [record(r) for r in report.per_restart] == [first] * 10
+
+    def test_ar1_fit_equals_a_single_restart(self):
+        data = prior_data(0)
+        single = TrainConfig(seed=0, restarts=1, freeze_feature_map=True)
+        ten, one = train(data, ARCH, self.AR1), train(data, ARCH, single)
+        assert ten.best_nll == one.best_nll
+        packed = [pack_params(r.best_params, r.config).tobytes() for r in (ten, one)]
+        assert packed[0] == packed[1]
+
+    def test_shared_start_copies_the_first_run(self, monkeypatch):
+        real_init = trainer.init_params
+
+        def init_params_2_as_0(arch, config, restart_index):
+            return real_init(arch, config, 0 if restart_index == 2 else restart_index)
+
+        monkeypatch.setattr(trainer, "init_params", init_params_2_as_0)
+        calls = record_minimize(monkeypatch)
+        cfg = TrainConfig(seed=0, restarts=3, max_iterations=20)
+        first, second, third = train(prior_data(0), ARCH, cfg).per_restart
+        assert len(calls) == 2
+        assert calls[0].x0.tobytes() != calls[1].x0.tobytes()
+        assert third.restart_index == 2
+        assert record(third) == record(first) == (calls[0].fun, calls[0].nit, calls[0].message)
+        assert record(second) == (calls[1].fun, calls[1].nit, calls[1].message)
+
+    def test_shared_infeasible_start_is_minimized_once(self, monkeypatch):
+        real_init = trainer.init_params
+
+        def init_params_nan_rho_even(arch, config, restart_index):
+            params = real_init(arch, config, restart_index)
+            if restart_index % 2 == 0:
+                params.rho = np.nan
+            return params
+
+        # restarts 0 and 2 share an infeasible start; the AR(1) start of
+        # restarts 1 and 3 is feasible
+        monkeypatch.setattr(trainer, "init_params", init_params_nan_rho_even)
+        calls = record_minimize(monkeypatch)
+        cfg = TrainConfig(seed=0, restarts=4, max_iterations=3, freeze_feature_map=True)
+        report = train(prior_data(0), ARCH, cfg)
+        assert len(calls) == 2
+        assert [res.fun >= _PENALTY for res in calls] == [True, False]
+        infeasible = (np.inf, 0, INFEASIBLE_START)
+        assert [record(r) for r in report.per_restart[0::2]] == [infeasible, infeasible]
+        assert [r.stop for r in report.per_restart[1::2]] == [calls[1].message] * 2
+
+    def test_deep_restarts_each_minimize(self, monkeypatch):
+        calls = record_minimize(monkeypatch)
+        train(prior_data(0), ARCH, TrainConfig(seed=0, restarts=3, max_iterations=20))
+        assert len(calls) == 3
 
 
 class TestMinimizeRestart:
