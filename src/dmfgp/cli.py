@@ -40,12 +40,9 @@ def parse_arch(text, d_in):
     """Parse an architecture string like "3-2" into a layer list.
 
     Hidden widths use the sigmoid transfer and the final width an affine
-    (identity) output layer. "identity" selects the AR(1) baseline, whose
-    map has no layers, and returns None.
+    (identity) output layer.
     """
     text = text.strip().lower()
-    if text == "identity":
-        return None
     try:
         widths = [int(tok) for tok in text.split("-")]
         if not widths or any(w < 1 for w in widths):

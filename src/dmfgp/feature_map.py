@@ -1,9 +1,8 @@
 """Multilayer feature map h(x) = (h^L o ... o h^1)(x) with exact backprop.
 
 Each layer computes sigma(W z + b) where sigma is either the logistic
-sigmoid or the identity. The map is deterministic; activations are
-recomputed during the backward pass rather than cached, since layer widths
-are tiny at the scales this library targets.
+sigmoid or the identity. forward returns every layer's activations, and
+backward takes them, so one objective evaluation runs the map once.
 
 The composition of no layers is h(x) = x, with nothing to train: the
 zero-layer map is the AR(1) co-kriging baseline (see identity_map).
@@ -81,8 +80,14 @@ def _sigmoid(z):
     return out
 
 
-def _forward_pass(arch, params, X):
-    """Return the list of activations [X, A^1, ..., A^L]."""
+def forward(arch, params, X):
+    """Apply the feature map rowwise: returns the activations
+    [X, A^1, ..., A^L], whose last entry is h(X) with shape (n, D_out)."""
+    X = _validate(arch, params, X)
+    if not arch:
+        # a new array, never the caller's, with -0.0 read as +0.0: the bits
+        # of the one-layer affine identity map, X @ I + 0
+        return [X + 0.0]
     acts = [X]
     for spec, w, b in zip(arch, params.weights, params.biases):
         z = acts[-1] @ w.T + b
@@ -90,21 +95,13 @@ def _forward_pass(arch, params, X):
     return acts
 
 
-def forward(arch, params, X):
-    """Apply the feature map rowwise: returns h(X) with shape (n, D_out)."""
-    X = _validate(arch, params, X)
-    if not arch:
-        # a new array, never the caller's, with -0.0 read as +0.0: the bits
-        # of the one-layer affine identity map, X @ I + 0
-        return X + 0.0
-    return _forward_pass(arch, params, X)[-1]
-
-
-def backward(arch, params, X, H_adjoint):
+def backward(arch, params, acts, H_adjoint):
     """Vector-Jacobian product: sum_{i,k} H_adjoint[i,k] * d h_k(X_i) / d theta_h.
 
     Parameters
     ----------
+    acts : list of ndarray
+        The activations forward returned for X (or the same rows of each).
     H_adjoint : ndarray, shape (n, D_out)
         Adjoint of the forward output.
 
@@ -112,8 +109,6 @@ def backward(arch, params, X, H_adjoint):
     -------
     FeatureMapGrad
     """
-    X = _validate(arch, params, X)
-    acts = _forward_pass(arch, params, X)
     H_adjoint = np.asarray(H_adjoint, dtype=float)
     if H_adjoint.shape != acts[-1].shape:
         raise ValueError(

@@ -228,7 +228,7 @@ def _factor(params, data, H, G1, G2):
 def assemble(params, data):
     """Build the joint training covariance and factorize it, with the
     diagonal jitter of _chol_with_escalation (recorded in the bundle)."""
-    H = _features(params, data)
+    H = _features(params, data)[-1]
     H2 = H[data.n1 :]
     return _factor(params, data, H, kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2))
 
@@ -263,8 +263,9 @@ def nll_gradient(params, data):
     fidelity blocks of K, where k1 enters as [[G, rho G], [rho G, rho^2 G]]
     and k2 as the high-fidelity block; each block is a slice of one Gram (or
     Gram derivative) per kernel over H. The feature adjoint dL/dH is pushed
-    through the feature map by backpropagation; the zero-layer map (the
-    AR(1) baseline) has no parameters, and skips both.
+    through the feature map by backpropagation, on the activations of the one
+    forward pass that built H; the zero-layer map (the AR(1) baseline) has no
+    parameters, and skips both.
 
     The k1 terms are summed block by block rather than as one contraction
     against A * r r^T: the two orders differ at roundoff, and the optimizer
@@ -274,7 +275,8 @@ def nll_gradient(params, data):
     n = n1 + n2
     lo, hi = slice(None, n1), slice(n1, None)
     rho = params.rho
-    H = _features(params, data)
+    acts = _features(params, data)
+    H = acts[-1]
     H2 = H[hi]
 
     # the first derivative gram_grad_hyper returns is the Gram itself, so it
@@ -331,10 +333,11 @@ def nll_gradient(params, data):
         dH2 += rho**2 * (dU + dV)
         dU, dV = _gram_input_adjoint(A22, kern.gram_grad_inputs(params.k2, H2, H2, gh2[0]))
         dH2 += dU + dV
-        # one backward pass per fidelity: a pass over the stacked rows sums
-        # the weight gradient in another order, which moves training roundoff
-        g_lo = fm.backward(params.arch, params.fmap, data.x1, dH1)
-        g_hi = fm.backward(params.arch, params.fmap, data.x2, dH2)
+        # one backward pass per fidelity, on its rows of acts: a pass over the
+        # stacked rows sums the weight gradient in another order, which moves
+        # training roundoff
+        g_lo = fm.backward(params.arch, params.fmap, [a[lo] for a in acts], dH1)
+        g_hi = fm.backward(params.arch, params.fmap, [a[hi] for a in acts], dH2)
         d_fmap = fm.FeatureMapGrad(
             [a + c for a, c in zip(g_lo.weights, g_hi.weights)],
             [a + c for a, c in zip(g_lo.biases, g_hi.biases)],
@@ -356,7 +359,7 @@ def predict(params, data, Xstar):
             f"query has {Xstar.shape[1]} columns, model expects {data.d_in}"
         )
     b = assemble(params, data)
-    Hs = fm.forward(params.arch, params.fmap, Xstar)
+    Hs = fm.forward(params.arch, params.fmap, Xstar)[-1]
     n1, rho = data.n1, params.rho
     r = np.where(np.arange(b.H.shape[0]) < n1, 1.0, rho)
     Ks = rho * r * kern.gram(params.k1, Hs, b.H)
@@ -380,8 +383,7 @@ def sample_prior(params, X, seed):
     of one 2n x 2n factor. Each kernel's Gram gets its own jitter, by the
     rule of _chol_with_escalation.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    H = fm.forward(params.arch, params.fmap, X)
+    H = fm.forward(params.arch, params.fmap, X)[-1]
     n = H.shape[0]
     if n == 0:
         raise ValueError("need at least one sample point")

@@ -8,6 +8,7 @@ bit for bit.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ from .kernel import KernelParams
 from .mfgp import Dataset, ModelParams, PosteriorPrediction
 
 __all__ = ["FittedModel", "from_report", "save_model", "load_model"]
+
+_FORMAT = "dmfgp-model-v1"
 
 
 @dataclass
@@ -39,7 +42,7 @@ class FittedModel:
 
     def features(self, X):
         """Learned feature-space image h(X)."""
-        return fm.forward(self.params.arch, self.params.fmap, np.atleast_2d(np.asarray(X, float)))
+        return fm.forward(self.params.arch, self.params.fmap, X)[-1]
 
     @property
     def d_in(self):
@@ -94,7 +97,7 @@ def _sanitize(obj):
 def save_model(model, path):
     p = model.params
     doc = {
-        "format": "dmfgp-model-v1",
+        "format": _FORMAT,
         "arch": [
             {"input_width": s.input_width, "output_width": s.output_width, "transfer": s.transfer}
             for s in p.arch
@@ -124,9 +127,20 @@ def save_model(model, path):
         fh.write("\n")
 
 
+def _finite(value):
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc.get("format") != _FORMAT:
+        raise ValueError(f"{path}: format is {doc.get('format')!r}, expected {_FORMAT!r}")
+    c = doc["centering"]
+    if not _finite(c["mean"]):
+        raise ValueError(f"{path}: centering.mean must be a finite number, got {c['mean']!r}")
+    if not (_finite(c["scale"]) and c["scale"] > 0):
+        raise ValueError(f"{path}: centering.scale must be a finite number > 0, got {c['scale']!r}")
     arch = [
         fm.LayerSpec(s["input_width"], s["output_width"], s["transfer"]) for s in doc["arch"]
     ]
@@ -148,5 +162,4 @@ def load_model(path):
     data = Dataset(
         np.asarray(dd["x1"]), np.asarray(dd["f1"]), np.asarray(dd["x2"]), np.asarray(dd["f2"])
     )
-    c = doc["centering"]
     return FittedModel(params, data, c["mean"], c["scale"], doc.get("training", {}))

@@ -141,6 +141,14 @@ def unpack_params(vec, template, config):
 # initialization
 
 
+def _require_layers(arch):
+    if not arch:
+        raise ValueError(
+            "arch has no layers; the AR(1) baseline is selected by freeze_feature_map, "
+            "on an arch whose first layer takes the data's input width"
+        )
+
+
 def init_params(arch, config, restart_index):
     """Deterministic random initialization for one restart.
 
@@ -151,6 +159,7 @@ def init_params(arch, config, restart_index):
     width (the AR(1) baseline); then nothing is drawn, and every restart
     gets the same start point.
     """
+    _require_layers(arch)
     rng = np.random.default_rng([config.seed, restart_index])
     if config.freeze_feature_map:
         D = arch[0].input_width
@@ -225,6 +234,7 @@ def train(data, arch, config):
     Targets are centered internally (see center_targets); the reported NLLs
     refer to the centered targets. Returns the best restart.
     """
+    _require_layers(arch)
     if arch[0].input_width != data.d_in:
         raise ValueError(
             f"architecture expects {arch[0].input_width}-dim inputs, data has {data.d_in}"

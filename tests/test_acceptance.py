@@ -238,7 +238,7 @@ def test_c7_prior_sampling_statistics():
     params = init_params(ARCH, TrainConfig(seed=77), 0)
     X = np.array([[0.15], [0.5], [0.85]])
     n = X.shape[0]
-    H = fm.forward(params.arch, params.fmap, X)
+    H = fm.forward(params.arch, params.fmap, X)[-1]
     g1 = oracles.se_kernel_matrix(params.k1.signal_variance, params.k1.lengthscales, H, H)
     g2 = oracles.se_kernel_matrix(params.k2.signal_variance, params.k2.lengthscales, H, H)
     rho = params.rho

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,6 @@ class TestParseArch:
             (1, 3, "sigmoid"),
             (3, 2, "identity"),
         ]
-
-    def test_identity_keyword(self):
-        assert parse_arch("identity", d_in=2) is None
 
     def test_single_layer(self):
         layers = parse_arch("4", d_in=2)
@@ -267,6 +265,29 @@ class TestPredict:
         d = io.read_dataset(data)
         X = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)[:, :1]
         np.testing.assert_array_equal(X, np.vstack([d.x1, d.x2]))  # 12 low- and 4 high-fidelity rows
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("format", "something-else-v9"), ("centering.scale", -2.0), ("centering.scale", 0.0)],
+        ids=["foreign-format", "negative-scale", "zero-scale"],
+    )
+    def test_rejects_model_with_bad_header_field(self, small_pipeline, tmp_path, capsys, field, value):
+        _, _, mdl = small_pipeline
+        doc = json.loads(mdl.read_text())
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pred_bad.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "predict", "--model", str(bad), "--grid", "3", "--out", str(out))
+        assert code == 2
+        assert f"{bad}: {field}" in err
+        assert not out.exists()
 
     def test_missing_model(self, tmp_path, capsys):
         code, _, _ = run(

@@ -1,4 +1,7 @@
 import copy
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -26,6 +29,7 @@ from dmfgp.mfgp import (
 )
 
 from oracles import ar1_joint_cov, ar1_nll, ar1_predict
+from test_cli import _src_env
 
 
 def ar1_model(D=1, rho=1.3, sv1=1.5, ls1=0.7, sv2=0.4, ls2=1.2, n1=1e-4, n2=1e-5):
@@ -148,8 +152,8 @@ class TestJointCovariance:
         )
         data = random_data(1)
         b = assemble(params, data)
-        np.testing.assert_array_equal(b.H[: data.n1], fm.forward(arch, fmap, data.x1))
-        np.testing.assert_array_equal(b.H[data.n1 :], fm.forward(arch, fmap, data.x2))
+        np.testing.assert_array_equal(b.H[: data.n1], fm.forward(arch, fmap, data.x1)[-1])
+        np.testing.assert_array_equal(b.H[data.n1 :], fm.forward(arch, fmap, data.x2)[-1])
 
     def test_raises_on_overflowing_parameters(self):
         params = ar1_model()
@@ -287,6 +291,19 @@ class TestNllGradient:
             expected["gram_grad_inputs"] = 2
         assert calls == expected
 
+    def test_one_feature_map_pass(self, monkeypatch):
+        # the backward passes take the activations of the pass that built H:
+        # deep_model's one sigmoid layer runs once per pass over the map
+        calls = Counter()
+        for name in ("forward", "_sigmoid"):
+            def counted(*args, _fn=getattr(fm, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(fm, name, counted)
+        nll_gradient(deep_model(), random_data(6))
+        assert calls == {"forward": 1, "_sigmoid": 1}
+
 
 class TestPredict:
     @pytest.mark.parametrize("seed", range(3))
@@ -389,3 +406,50 @@ class TestSamplePrior:
             tracemalloc.stop()
         # a 2n x 2n joint K and its factor alone take 8 n^2 doubles
         assert peak < 8 * n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+_OBJECTIVE_DIGEST = textwrap.dedent(
+    """
+    import hashlib
+
+    import numpy as np
+
+    from dmfgp import benchmarks, mfgp, trainer
+    from dmfgp.feature_map import LayerSpec
+
+    arch = [LayerSpec(1, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
+    digest = hashlib.sha256()
+    for kind in ("step", "forrester_jump"):
+        data = benchmarks.generate(benchmarks.BenchmarkSpec(kind, seed=0))[0]
+        centered = trainer.center_targets(data)[0]
+        for freeze in (False, True):
+            config = trainer.TrainConfig(seed=0, freeze_feature_map=freeze)
+            for r in range(3):
+                p0 = trainer.init_params(arch, config, r)
+                x0 = trainer.pack_params(p0, config)
+                rng = np.random.default_rng([r, 7])
+                for _ in range(3):
+                    x = x0 + 0.3 * rng.standard_normal(x0.size)
+                    g = mfgp.nll_gradient(trainer.unpack_params(x, p0, config), centered)
+                    digest.update(np.float64(g.nll).tobytes())
+                    digest.update(trainer.pack_gradient(g, config).tobytes())
+    print(digest.hexdigest())
+    """
+)
+
+
+def test_objective_does_not_depend_on_blas_threads():
+    # prior_sample is left out: its data depend on the thread count
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _OBJECTIVE_DIGEST],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(_src_env(), OPENBLAS_NUM_THREADS=threads),
+        )
+        for threads in ("1", "2")
+    ]
+    outs = [p.communicate(timeout=120) for p in procs]
+    for p, (_, err) in zip(procs, outs):
+        assert p.returncode == 0, err
+    one, two = (out.strip() for out, _ in outs)
+    assert len(one) == 64 and one == two

@@ -233,6 +233,14 @@ class TestTrain:
         # one feature dimension: the identity map on 1-d inputs
         assert report.best_params.k1.dim == 1
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["deep", "frozen"])
+    def test_empty_arch_names_the_baseline_switch(self, freeze):
+        # the zero-layer map is chosen by freeze_feature_map, not by an empty arch
+        config = TrainConfig(seed=0, restarts=1, freeze_feature_map=freeze)
+        for call in (lambda: train(prior_data(9), [], config), lambda: init_params([], config, 0)):
+            with pytest.raises(ValueError, match="freeze_feature_map"):
+                call()
+
     def test_arch_width_mismatch(self):
         data = prior_data(9)
         bad = [LayerSpec(2, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
