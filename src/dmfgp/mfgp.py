@@ -16,7 +16,7 @@ high-fidelity function.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import feature_map as fm
 from . import kernel as kern
@@ -159,6 +159,41 @@ def noise_variance(log_noise):
     return NOISE_FLOOR + float(np.exp(log_noise))
 
 
+# The three LAPACK calls of the factor-and-solve steps, made directly: at
+# n = 50-65, scipy.linalg's argument checks and batch dispatch around them
+# cost more than the LAPACK work. Each makes the call scipy.linalg's
+# cholesky, cho_solve and solve_triangular make for the same (lower) input,
+# so the bits are the same. Callers look these names up on the module at
+# call time, so a wrapper set on the module sees every call.
+
+
+def cholesky(A):
+    """Lower Cholesky factor of the Fortran-ordered A, computed in A's memory.
+
+    Raises np.linalg.LinAlgError when A is not positive definite.
+    """
+    L, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return L
+
+
+def cho_solve(L, b):
+    """(L L^T)^-1 b for a lower Cholesky factor L; b is 1-D or 2-D."""
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs returned info {info}")
+    return x
+
+
+def solve_triangular(L, B):
+    """L^-1 B for a lower triangular, Fortran-ordered L."""
+    x, info = dtrtrs(L, B, lower=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs returned info {info}")
+    return x
+
+
 def _chol_with_escalation(K):
     """Cholesky of K + j*I by the one jitter rule: j starts at
     1e-8 * mean(diag K) and grows x10 on each failure, up to a cap of
@@ -170,7 +205,7 @@ def _chol_with_escalation(K):
     if not np.all(np.isfinite(K)):
         # overflowed hyperparameters; certainly not factorizable
         raise NotPositiveDefiniteError(np.inf)
-    mean_diag = float(np.mean(np.diag(K)))
+    mean_diag = float(np.diag(K).mean())
     cap = 1e-2 * max(mean_diag, 1.0)
     j = max(1e-8 * mean_diag, 0.0)
     # one Fortran-ordered work array, refilled per attempt and factored in
@@ -183,8 +218,7 @@ def _chol_with_escalation(K):
         np.add(K, 0.0, out=A)
         diag += j
         try:
-            L = cholesky(A, lower=True, overwrite_a=True, check_finite=False)
-            return L, j
+            return cholesky(A), j
         except np.linalg.LinAlgError:
             pass
         j = 10.0 * max(j, 1e-16 * max(mean_diag, 1.0))
@@ -211,18 +245,16 @@ def _features(params, data):
     return fm.forward(params.arch, params.fmap, np.vstack([data.x1, data.x2]))
 
 
-def _factor(params, data, H, G1, G2):
+def _factor(params, n1, f, H, G1, G2):
     """The factor step shared by assemble and nll_gradient: K from the Grams
     G1 = k1(H, H) (scaled in place) and G2 = k2(H2, H2), the noise diagonal,
-    the Cholesky factor of K and alpha."""
-    n1 = data.n1
+    the Cholesky factor of K and alpha = K^-1 f."""
     K = _joint_cov(G1, G2, params.rho, n1)
-    noise1, noise2 = noise_variance(params.log_noise1), noise_variance(params.log_noise2)
-    K[np.diag_indices_from(K)] += np.where(np.arange(K.shape[0]) < n1, noise1, noise2)
+    diag = K.reshape(-1)[:: K.shape[0] + 1]  # a strided view of K's diagonal
+    diag[:n1] += noise_variance(params.log_noise1)
+    diag[n1:] += noise_variance(params.log_noise2)
     L, j = _chol_with_escalation(K)
-    # a factor of a finite K and targets Dataset checked finite
-    alpha = cho_solve((L, True), data.f, check_finite=False)
-    return GramBundle(K, L, alpha, H, j)
+    return GramBundle(K, L, cho_solve(L, f), H, j)
 
 
 def assemble(params, data):
@@ -230,7 +262,8 @@ def assemble(params, data):
     diagonal jitter of _chol_with_escalation (recorded in the bundle)."""
     H = _features(params, data)[-1]
     H2 = H[data.n1 :]
-    return _factor(params, data, H, kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2))
+    G1, G2 = kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2)
+    return _factor(params, data.n1, data.f, H, G1, G2)
 
 
 def _nll_of(b, f):
@@ -283,23 +316,24 @@ def nll_gradient(params, data):
     # also builds K; _joint_cov scales its first Gram in place, hence the copy
     gh1 = kern.gram_grad_hyper(params.k1, H, H)
     gh2 = kern.gram_grad_hyper(params.k2, H2, H2)
-    b = _factor(params, data, H, gh1[0].copy(), gh2[0])
+    f = data.f
+    b = _factor(params, n1, f, H, gh1[0].copy(), gh2[0])
 
-    Kinv = cho_solve((b.chol, True), np.eye(n), check_finite=False)
+    Kinv = cho_solve(b.chol, np.eye(n))
     A = 0.5 * (Kinv - np.outer(b.alpha, b.alpha))
     A11, A12, A22 = A[lo, lo], A[lo, hi], A[hi, hi]
 
     # rho appears in the off-diagonal blocks linearly and in (2,2) quadratically
-    d_rho = 2.0 * np.sum(A12 * gh1[0][lo, hi]) + 2.0 * rho * np.sum(A22 * gh1[0][hi, hi])
+    d_rho = 2.0 * (A12 * gh1[0][lo, hi]).sum() + 2.0 * rho * (A22 * gh1[0][hi, hi]).sum()
     d_k1 = np.array(
         [
-            np.sum(A11 * d[lo, lo])
-            + 2.0 * rho * np.sum(A12 * d[lo, hi])
-            + rho**2 * np.sum(A22 * d[hi, hi])
+            (A11 * d[lo, lo]).sum()
+            + 2.0 * rho * (A12 * d[lo, hi]).sum()
+            + rho**2 * (A22 * d[hi, hi]).sum()
             for d in gh1
         ]
     )
-    d_k2 = np.array([np.sum(A22 * d) for d in gh2])
+    d_k2 = np.array([(A22 * d).sum() for d in gh2])
 
     d_n1 = float(np.trace(A11)) * float(np.exp(params.log_noise1))
     d_n2 = float(np.trace(A22)) * float(np.exp(params.log_noise2))
@@ -307,7 +341,7 @@ def nll_gradient(params, data):
     # the jitter scales with mean(diag K), which itself depends on the
     # signal variances, rho, and the noise terms; chain that in so the
     # gradient matches the implemented nll exactly
-    mean_diag = float(np.mean(np.diag(b.K)))
+    mean_diag = float(np.diag(b.K).mean())
     scale = b.jitter / mean_diag  # escalation level times 1e-8
     trA = float(np.trace(A))
     sv1, sv2 = params.k1.signal_variance, params.k2.signal_variance
@@ -343,7 +377,7 @@ def nll_gradient(params, data):
             [a + c for a, c in zip(g_lo.biases, g_hi.biases)],
         )
 
-    return ModelGradient(float(d_rho), d_k1, d_k2, d_fmap, d_n1, d_n2, _nll_of(b, data.f))
+    return ModelGradient(float(d_rho), d_k1, d_k2, d_fmap, d_n1, d_n2, _nll_of(b, f))
 
 
 def predict(params, data, Xstar):
@@ -365,7 +399,9 @@ def predict(params, data, Xstar):
     Ks = rho * r * kern.gram(params.k1, Hs, b.H)
     Ks[:, n1:] += kern.gram(params.k2, Hs, b.H[n1:])
     mean = Ks @ b.alpha
-    v = solve_triangular(b.chol, Ks.T, lower=True)
+    if not np.all(np.isfinite(Ks)):  # e.g. NaN queries; L is finite
+        raise ValueError("array must not contain infs or NaNs")
+    v = solve_triangular(b.chol, Ks.T)
     prior = rho**2 * params.k1.signal_variance + params.k2.signal_variance
     var = prior - np.sum(v**2, axis=0)
     return PosteriorPrediction(mean, np.maximum(var, 0.0))

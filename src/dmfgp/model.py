@@ -10,6 +10,7 @@ bit for bit.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,18 +24,31 @@ __all__ = ["FittedModel", "from_report", "save_model", "load_model"]
 _FORMAT = "dmfgp-model-v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedModel:
+    """A trained model. It is frozen and holds a read-only copy of its
+    training data, so the centred copy of that data cannot go stale."""
+
     params: ModelParams
     data: Dataset  # raw (uncentered) training data
     center_mean: float
     center_scale: float
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        d = self.data
+        arrays = [np.array(a) for a in (d.x1, d.f1, d.x2, d.f2)]
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "data", Dataset(*arrays))
+
+    @cached_property
+    def _centered(self):
+        return self.data.centered(self.center_mean, self.center_scale)
+
     def predict(self, Xstar):
         """Posterior of the latent high-fidelity output, in original units."""
-        centered = self.data.centered(self.center_mean, self.center_scale)
-        raw = mfgp.predict(self.params, centered, Xstar)
+        raw = mfgp.predict(self.params, self._centered, Xstar)
         return PosteriorPrediction(
             raw.mean * self.center_scale + self.center_mean,
             raw.variance * self.center_scale**2,
@@ -74,10 +88,6 @@ def _kernel_to_json(k):
         "log_signal_variance": k.log_signal_variance,
         "log_lengthscales": k.log_lengthscales.tolist(),
     }
-
-
-def _kernel_from_json(d):
-    return KernelParams(d["log_signal_variance"], np.asarray(d["log_lengthscales"]))
 
 
 def _sanitize(obj):
@@ -127,39 +137,114 @@ def save_model(model, path):
         fh.write("\n")
 
 
-def _finite(value):
-    return isinstance(value, (int, float)) and math.isfinite(value)
+class _Fields:
+    """Checked reads of a model document's fields. Every failure raises a
+    ValueError that names the file and the field, e.g.
+    `m.json: params.k1.log_lengthscales must be ...`."""
+
+    def __init__(self, doc, path):
+        self.doc, self.path = doc, path
+
+    @staticmethod
+    def _name(keys):
+        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+    def fail(self, keys, what, got):
+        got = repr(got)
+        got = got if len(got) <= 60 else got[:57] + "..."
+        raise ValueError(f"{self.path}: {self._name(keys)} must be {what}, got {got}")
+
+    def get(self, *keys):
+        obj = self.doc
+        for i, k in enumerate(keys):
+            try:
+                obj = obj[k]
+            except (KeyError, IndexError, TypeError):
+                raise ValueError(f"{self.path}: {self._name(keys[: i + 1])} is missing") from None
+        return obj
+
+    def number(self, *keys):
+        v = self.get(*keys)
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+            self.fail(keys, "a finite number", v)
+        return v
+
+    def width(self, *keys):
+        v = self.get(*keys)
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            self.fail(keys, "an integer >= 1", v)
+        return v
+
+    def array(self, keys, shape):
+        """A finite float array of this shape; None in shape matches any
+        length >= 1."""
+        v = self.get(*keys)
+        try:
+            a = np.asarray(v) if isinstance(v, list) else None
+        except ValueError:  # ragged nesting
+            a = None
+        ok = (
+            a is not None
+            and a.dtype.kind in "iuf"
+            and a.ndim == len(shape)
+            and all(n == s if s is not None else n >= 1 for n, s in zip(a.shape, shape))
+            and np.isfinite(a).all()
+        )
+        if not ok:
+            dims = ", ".join("*" if s is None else str(s) for s in shape)
+            self.fail(keys, f"a finite array of shape ({dims})", v)
+        return a.astype(float, copy=False)
 
 
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
-        raise ValueError(f"{path}: format is {doc.get('format')!r}, expected {_FORMAT!r}")
-    c = doc["centering"]
-    if not _finite(c["mean"]):
-        raise ValueError(f"{path}: centering.mean must be a finite number, got {c['mean']!r}")
-    if not (_finite(c["scale"]) and c["scale"] > 0):
-        raise ValueError(f"{path}: centering.scale must be a finite number > 0, got {c['scale']!r}")
-    arch = [
-        fm.LayerSpec(s["input_width"], s["output_width"], s["transfer"]) for s in doc["arch"]
-    ]
-    pd = doc["params"]
-    fmap = fm.FeatureMapParams(
-        [np.asarray(w, dtype=float) for w in pd["fmap"]["weights"]],
-        [np.asarray(b, dtype=float) for b in pd["fmap"]["biases"]],
-    )
-    params = ModelParams(
-        pd["rho"],
-        _kernel_from_json(pd["k1"]),
-        _kernel_from_json(pd["k2"]),
-        arch,
-        fmap,
-        pd["log_noise1"],
-        pd["log_noise2"],
-    )
-    dd = doc["data"]
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        got = doc.get("format") if isinstance(doc, dict) else None
+        raise ValueError(f"{path}: format is {got!r}, expected {_FORMAT!r}")
+    f = _Fields(doc, path)
+    mean, scale = f.number("centering", "mean"), f.number("centering", "scale")
+    if not scale > 0:
+        f.fail(("centering", "scale"), "a finite number > 0", scale)
+
+    x1 = f.array(("data", "x1"), (None, None))
+    d_in = x1.shape[1]
+    x2 = f.array(("data", "x2"), (None, d_in))
     data = Dataset(
-        np.asarray(dd["x1"]), np.asarray(dd["f1"]), np.asarray(dd["x2"]), np.asarray(dd["f2"])
+        x1, f.array(("data", "f1"), (x1.shape[0],)), x2, f.array(("data", "f2"), (x2.shape[0],))
     )
-    return FittedModel(params, data, c["mean"], c["scale"], doc.get("training", {}))
+
+    layers = f.get("arch")
+    if not isinstance(layers, list):
+        f.fail(("arch",), "a list of layers", layers)
+    arch, weights, biases, width = [], [], [], d_in
+    for i in range(len(layers)):
+        n_in, n_out = f.width("arch", i, "input_width"), f.width("arch", i, "output_width")
+        if n_in != width:
+            f.fail(("arch", i, "input_width"), f"{width}, the width of its input", n_in)
+        transfer = f.get("arch", i, "transfer")
+        if transfer not in fm.TRANSFERS:
+            f.fail(("arch", i, "transfer"), f"one of {fm.TRANSFERS}", transfer)
+        arch.append(fm.LayerSpec(n_in, n_out, transfer))
+        weights.append(f.array(("params", "fmap", "weights", i), (n_out, n_in)))
+        biases.append(f.array(("params", "fmap", "biases", i), (n_out,)))
+        width = n_out
+    for part in ("weights", "biases"):
+        v = f.get("params", "fmap", part)
+        if not (isinstance(v, list) and len(v) == len(arch)):
+            f.fail(("params", "fmap", part), f"a list of {len(arch)}, one per layer", v)
+
+    kernels = [
+        KernelParams(f.number("params", k, "log_signal_variance"),
+                     f.array(("params", k, "log_lengthscales"), (width,)))
+        for k in ("k1", "k2")
+    ]
+    params = ModelParams(
+        f.number("params", "rho"),
+        *kernels,
+        arch,
+        fm.FeatureMapParams(weights, biases),
+        f.number("params", "log_noise1"),
+        f.number("params", "log_noise2"),
+    )
+    return FittedModel(params, data, mean, scale, doc.get("training", {}))

@@ -18,6 +18,9 @@ from dmfgp.mfgp import NotPositiveDefiniteError, TrainingFailedError
 from test_model_io import trained_nll
 
 
+_DELETE = object()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -267,26 +270,53 @@ class TestPredict:
         np.testing.assert_array_equal(X, np.vstack([d.x1, d.x2]))  # 12 low- and 4 high-fidelity rows
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("format", "something-else-v9"), ("centering.scale", -2.0), ("centering.scale", 0.0)],
-        ids=["foreign-format", "negative-scale", "zero-scale"],
+        "keys, value, field",
+        [
+            (("format",), "something-else-v9", "format"),
+            (("centering", "scale"), -2.0, "centering.scale"),
+            (("centering", "scale"), 0.0, "centering.scale"),
+            (("params", "rho"), "1.0", "params.rho"),
+            (("params", "log_noise1"), "x", "params.log_noise1"),
+            (("params", "rho"), float("nan"), "params.rho"),
+            (("params",), _DELETE, "params"),
+            (("data", "x1", 0, 0), float("nan"), "data.x1"),
+            (("data", "f2"), [0.0], "data.f2"),
+            (("params", "k1", "log_signal_variance"), None, "params.k1.log_signal_variance"),
+            (("params", "k2", "log_lengthscales"), [0.0, 0.0, 0.0], "params.k2.log_lengthscales"),
+            (("params", "fmap", "weights", 1), [[0.0, 0.0, 0.0]], "params.fmap.weights[1]"),
+            (("params", "fmap", "biases", 0), [0.0], "params.fmap.biases[0]"),
+            (("arch", 1, "input_width"), 4, "arch[1].input_width"),
+        ],
+        ids=[
+            "foreign-format", "negative-scale", "zero-scale",
+            "string-rho", "string-noise", "nan-rho", "missing-params", "nan-in-x1",
+            "short-f2", "null-signal-variance", "lengthscale-count", "weight-shape",
+            "bias-shape", "arch-chain",
+        ],
     )
-    def test_rejects_model_with_bad_header_field(self, small_pipeline, tmp_path, capsys, field, value):
+    def test_rejects_model_with_bad_header_field(
+        self, small_pipeline, tmp_path, capsys, keys, value, field
+    ):
+        """Any bad field of the model file: exit 2, naming the file and the
+        field, and no output file."""
         _, _, mdl = small_pipeline
         doc = json.loads(mdl.read_text())
-        *parents, key = field.split(".")
+        *parents, key = keys
         node = doc
         for name in parents:
             node = node[name]
-        node[key] = value
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = value
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "pred_bad.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run(capsys, "predict", "--model", str(bad), "--grid", "3", "--out", str(out))
-        assert code == 2
-        assert f"{bad}: {field}" in err
+        assert code == 2, err
+        assert f"{bad}: {field} " in err
         assert not out.exists()
 
     def test_missing_model(self, tmp_path, capsys):

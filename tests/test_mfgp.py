@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dmfgp import benchmarks
+from dmfgp import benchmarks, mfgp
 from dmfgp import feature_map as fm
 from dmfgp import kernel as kern
 from dmfgp.feature_map import LayerSpec
@@ -124,6 +125,59 @@ class TestCholWithEscalation:
         params, data = ar1_model(), random_data(0)
         b = assemble(params, data)
         assert b.jitter == 1e-8 * np.mean(np.diag(b.K))
+
+
+class TestLapackHelpers:
+    """mfgp's direct LAPACK calls return scipy.linalg's bits."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        # a joint covariance at benchmark size: 50 + 15 rows on a deep map
+        return assemble(deep_model(), random_data(2, n1=50, n2=15))
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_cholesky(self, bundle):
+        A = bundle.K + bundle.jitter * np.eye(bundle.K.shape[0])
+        expected = scipy.linalg.cholesky(A, lower=True, check_finite=False)
+        L = mfgp.cholesky(np.asfortranarray(A))
+        assert self.same_bits(L, expected) and L.flags.f_contiguous
+        assert self.same_bits(L, bundle.chol)
+
+    @pytest.mark.parametrize("rhs", ["vector", "identity"])
+    def test_cho_solve(self, bundle, rhs):
+        n = bundle.K.shape[0]
+        b = np.random.default_rng(0).normal(size=n) if rhs == "vector" else np.eye(n)
+        expected = scipy.linalg.cho_solve((bundle.chol, True), b, check_finite=False)
+        assert self.same_bits(mfgp.cho_solve(bundle.chol, b), expected)
+
+    @pytest.mark.parametrize("m", [1, 200])
+    def test_solve_triangular_on_a_transposed_cross_covariance(self, bundle, m):
+        Ks = np.random.default_rng(1).normal(size=(m, bundle.K.shape[0]))
+        assert Ks.T.flags.f_contiguous
+        expected = scipy.linalg.solve_triangular(bundle.chol, Ks.T, lower=True)
+        assert self.same_bits(mfgp.solve_triangular(bundle.chol, Ks.T), expected)
+
+    def test_cholesky_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            mfgp.cholesky(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_escalation_reaches_the_jitter_of_scipy_cholesky(self):
+        # a numerically singular Gram made indefinite by 3e-7
+        x = np.linspace(0, 1, 60).reshape(-1, 1)
+        K = kern.gram(KernelParams(0.0, [0.0]), x, x) - 3e-7 * np.eye(60)
+        j = 1e-8 * np.mean(np.diag(K))
+        while True:
+            try:
+                expected = scipy.linalg.cholesky(K + j * np.eye(60), lower=True)
+                break
+            except np.linalg.LinAlgError:
+                j *= 10.0
+        L, jitter = _chol_with_escalation(K)
+        assert jitter > 1e-8 * np.mean(np.diag(K))  # it did escalate
+        assert jitter == j and self.same_bits(L, expected)
 
 
 class TestJointCovariance:

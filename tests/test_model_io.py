@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io as stdio
 
 import numpy as np
@@ -179,6 +180,32 @@ class TestRowCounts:
 
 
 class TestFittedModel:
+    def test_centres_its_data_once(self, fitted, monkeypatch):
+        calls = []
+        centered = Dataset.centered
+        monkeypatch.setattr(Dataset, "centered", lambda *a: calls.append(1) or centered(*a))
+        fresh = dataclasses.replace(fitted)
+        X = np.linspace(0, 1, 5).reshape(-1, 1)
+        first = fresh.predict(X)
+        for _ in range(3):
+            again = fresh.predict(X)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(again.mean, first.mean)
+        np.testing.assert_array_equal(again.mean, fitted.predict(X).mean)
+
+    @pytest.mark.parametrize("name", ["params", "data", "center_mean", "center_scale", "meta"])
+    def test_fields_cannot_be_reassigned(self, fitted, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fitted, name, getattr(fitted, name))
+
+    def test_data_is_a_read_only_copy(self, fitted):
+        data = prior_data(0)
+        m = model.FittedModel(fitted.params, data, fitted.center_mean, fitted.center_scale)
+        with pytest.raises(ValueError, match="read-only"):
+            m.data.f2[0] = 0.0
+        data.f2[0] = 0.0  # the caller's arrays stay the caller's
+        assert m.data.f2[0] != 0.0
+
     def test_nll_matches_report(self, fitted):
         assert trained_nll(fitted) == pytest.approx(fitted.meta["best_nll"], rel=1e-10)
 
