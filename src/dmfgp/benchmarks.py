@@ -107,12 +107,9 @@ def forrester_truth(x, fidelity):
 
 
 def true_h_sample(x):
-    """Ground-truth piecewise feature map: (x, x) for x <= 0.5, (x, 2x) above."""
+    """Ground-truth feature map of a 1-D array: rows (x, x) for x <= 0.5, (x, 2x) above."""
     x = _check_range(x, 0.0, 1.0)
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(x)
-    out = np.stack([x, np.where(x <= 0.5, x, 2.0 * x)], axis=1)
-    return out[0] if scalar else out
+    return np.stack([x, np.where(x <= 0.5, x, 2.0 * x)], axis=1)
 
 
 def generate(spec):

@@ -148,7 +148,7 @@ def cmd_predict(args):
     pred = fitted.predict(X)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    io.write_predictions(out, X, pred.mean, np.sqrt(pred.variance), fitted.features(X))
+    io.write_predictions(out, X, pred.mean, np.sqrt(pred.variance), pred.features)
     print(f"wrote {X.shape[0]} predictions to {out}")
     return 0
 
@@ -227,7 +227,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, ValueError, KeyError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NotPositiveDefiniteError, TrainingFailedError) as e:

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "LayerSpec",
     "FeatureMapParams",
-    "FeatureMapGrad",
     "forward",
     "backward",
     "identity_map",
@@ -39,18 +38,11 @@ class LayerSpec:
 
 @dataclass
 class FeatureMapParams:
-    """Per-layer weights (output_width x input_width) and biases (output_width,)."""
+    """Per-layer weights (output_width x input_width) and biases (output_width,);
+    also the gradient with respect to them, which has the same shapes."""
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-
-
-@dataclass
-class FeatureMapGrad:
-    """Gradient with the same per-layer shapes as FeatureMapParams."""
-
-    weights: list
-    biases: list
 
 
 def _validate(arch, params, X):
@@ -107,7 +99,7 @@ def backward(arch, params, acts, H_adjoint):
 
     Returns
     -------
-    FeatureMapGrad
+    FeatureMapParams
     """
     H_adjoint = np.asarray(H_adjoint, dtype=float)
     if H_adjoint.shape != acts[-1].shape:
@@ -126,7 +118,7 @@ def backward(arch, params, acts, H_adjoint):
         dW[ell] = dZ.T @ acts[ell]
         db[ell] = dZ.sum(axis=0)
         dA = dZ @ params.weights[ell]
-    return FeatureMapGrad(dW, db)
+    return FeatureMapParams(dW, db)
 
 
 def identity_map(D):

@@ -7,6 +7,7 @@ doubles round-trip losslessly. Files are UTF-8 with LF line endings.
 
 import csv
 import math
+from io import StringIO
 
 import numpy as np
 
@@ -58,34 +59,42 @@ def write_dataset(path, data):
     _write_csv(path, _header(data.d_in), [fid, np.vstack([data.x1, data.x2]), data.f])
 
 
-def _read_fidelity_rows(path):
-    rows = []
+def _read(path):
+    """The header row of a CSV file and the text after it."""
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        d_in = _check_header(path, header, _header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d_in + 2:
-                raise ValueError(f"{path}:{lineno}: expected {d_in + 2} fields, got {len(row)}")
-            try:
-                fid = int(row[0])
-                vals = [float(v) for v in row[1:]]
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if fid not in (1, 2):
-                raise ValueError(f"{path}:{lineno}: fidelity must be 1 or 2, got {fid}")
-            if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            rows.append((fid, vals[:-1], vals[-1]))
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    return header, body
+
+
+def _fidelity_rows(path, header, body):
+    """Check a dataset-format header and parse the body's rows; messages
+    name the path and the line. StringIO splits the body on "\n" only, as
+    iterating the newline-translated file does."""
+    d_in = _check_header(path, header, _header)
+    rows = []
+    for lineno, row in enumerate(csv.reader(StringIO(body)), start=2):
+        if not row:
+            continue
+        if len(row) != d_in + 2:
+            raise ValueError(f"{path}:{lineno}: expected {d_in + 2} fields, got {len(row)}")
+        try:
+            fid = int(row[0])
+            vals = [float(v) for v in row[1:]]
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        if fid not in (1, 2):
+            raise ValueError(f"{path}:{lineno}: fidelity must be 1 or 2, got {fid}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        rows.append((fid, vals[:-1], vals[-1]))
     return rows, d_in
 
 
 def read_dataset(path):
-    rows, d_in = _read_fidelity_rows(path)
+    rows, d_in = _fidelity_rows(path, *_read(path))
     x1 = np.array([x for f, x, _ in rows if f == 1]).reshape(-1, d_in)
     f1 = np.array([y for f, _, y in rows if f == 1])
     x2 = np.array([x for f, x, _ in rows if f == 2]).reshape(-1, d_in)
@@ -103,7 +112,7 @@ def write_test_grid(path, X, truth):
 
 
 def read_test_grid(path):
-    rows, d_in = _read_fidelity_rows(path)
+    rows, d_in = _fidelity_rows(path, *_read(path))
     hi = [(x, y) for f, x, y in rows if f == 2]
     if not hi:
         raise ValueError(f"{path}: no high-fidelity rows")
@@ -116,17 +125,13 @@ def read_queries(path):
     """Query file: either x0,...,x{D-1} columns or a dataset/test CSV, every
     row of which is a query, with at least one row, as many fields per row
     as the header names, and only finite values."""
-    with open(path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        body = fh.read()
-    if header is None:
-        raise ValueError(f"{path}: empty file")
+    header, body = _read(path)
     if header[:1] != ["fidelity"]:
         _check_header(path, header, _inputs)
     if not body.strip():
         raise ValueError(f"{path}: no query rows")
     if header[0] == "fidelity":
-        rows, d_in = _read_fidelity_rows(path)
+        rows, d_in = _fidelity_rows(path, header, body)
         X = np.array([x for _, x, _ in rows]).reshape(-1, d_in)
     else:
         try:

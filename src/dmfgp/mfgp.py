@@ -10,7 +10,8 @@ joint prior over (f1, f2) has covariance
 where r is 1 on the low-fidelity rows and rho on the high-fidelity rows,
 and H2 holds the high-fidelity rows of H. Observation-noise variances are
 added to the diagonal; prediction targets the latent (noise-free)
-high-fidelity function.
+high-fidelity function, whose covariance K_* with the training rows is
+built the same way, every query row being high fidelity.
 """
 
 from dataclasses import dataclass
@@ -130,7 +131,7 @@ class ModelGradient:
     rho: float
     k1: np.ndarray  # (1 + D,) ordered as KernelParams.to_vector
     k2: np.ndarray
-    fmap: fm.FeatureMapGrad
+    fmap: fm.FeatureMapParams
     log_noise1: float
     log_noise2: float
     nll: float
@@ -149,10 +150,11 @@ class GramBundle:
 
 @dataclass
 class PosteriorPrediction:
-    """Posterior mean and variance of the latent high-fidelity output."""
+    """Posterior mean and variance of the latent high-fidelity output, and h(X*)."""
 
     mean: np.ndarray
     variance: np.ndarray
+    features: np.ndarray = None
 
 
 def noise_variance(log_noise):
@@ -226,18 +228,16 @@ def _chol_with_escalation(K):
             raise NotPositiveDefiniteError(j)
 
 
-def _joint_cov(G1, G2, rho, n1):
-    """diag(r) G1 diag(r) with G2 added on the high-fidelity block.
-
-    Scales G1 in place: r_i r_j is 1, rho or rho * rho, so only the blocks
-    with a high-fidelity row or column change, and no n x n temporaries are
-    made.
-    """
+def _joint_cov(G1, G2, rho, r1, c1):
+    """diag(r) G1 diag(c) plus G2 on the high-fidelity block, in G1's memory:
+    r (c) is 1 on the first r1 rows (c1 columns), the low-fidelity ones, and
+    rho on the rest. K is (n1, n1); the queries' K_* is (0, n1). Only blocks
+    with a high-fidelity row or column change, and no temporaries are made."""
     K = G1
-    K[:n1, n1:] *= rho
-    K[n1:, :n1] *= rho
-    K[n1:, n1:] *= rho * rho
-    K[n1:, n1:] += G2
+    K[:r1, c1:] *= rho
+    K[r1:, :c1] *= rho
+    K[r1:, c1:] *= rho * rho
+    K[r1:, c1:] += G2
     return K
 
 
@@ -249,7 +249,7 @@ def _factor(params, n1, f, H, G1, G2):
     """The factor step shared by assemble and nll_gradient: K from the Grams
     G1 = k1(H, H) (scaled in place) and G2 = k2(H2, H2), the noise diagonal,
     the Cholesky factor of K and alpha = K^-1 f."""
-    K = _joint_cov(G1, G2, params.rho, n1)
+    K = _joint_cov(G1, G2, params.rho, n1, n1)
     diag = K.reshape(-1)[:: K.shape[0] + 1]  # a strided view of K's diagonal
     diag[:n1] += noise_variance(params.log_noise1)
     diag[n1:] += noise_variance(params.log_noise2)
@@ -351,7 +351,7 @@ def nll_gradient(params, data):
     d_n1 += trA * scale * float(np.exp(params.log_noise1)) * n1 / n
     d_n2 += trA * scale * float(np.exp(params.log_noise2)) * n2 / n
 
-    d_fmap = fm.FeatureMapGrad([], [])
+    d_fmap = fm.FeatureMapParams()
     if params.arch:
         T1 = kern.gram_grad_inputs(params.k1, H, H, gh1[0])
         dH1, dH2 = np.zeros_like(H[lo]), np.zeros_like(H2)
@@ -372,7 +372,7 @@ def nll_gradient(params, data):
         # training roundoff
         g_lo = fm.backward(params.arch, params.fmap, [a[lo] for a in acts], dH1)
         g_hi = fm.backward(params.arch, params.fmap, [a[hi] for a in acts], dH2)
-        d_fmap = fm.FeatureMapGrad(
+        d_fmap = fm.FeatureMapParams(
             [a + c for a, c in zip(g_lo.weights, g_hi.weights)],
             [a + c for a, c in zip(g_lo.biases, g_hi.biases)],
         )
@@ -381,11 +381,11 @@ def nll_gradient(params, data):
 
 
 def predict(params, data, Xstar):
-    """Posterior of the latent high-fidelity output at query points.
+    """Posterior of the latent high-fidelity output at query points, and h*.
 
-    mean = K_* K^-1 f with K_* = rho * k1(h*, H) diag(r) + [0, k2(h*, H2)];
-    variance is the diagonal of k22(h*, h*) - K_* K^-1 K_*^T. The training
-    covariance K carries the noise diagonals; K_* and k22(h*, h*) do not.
+    mean = K_* K^-1 f, with K_* built by _joint_cov, every query row high
+    fidelity; variance is the diagonal of k22(h*, h*) - K_* K^-1 K_*^T. K
+    carries the noise diagonals; K_* and k22(h*, h*) do not.
     """
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != data.d_in:
@@ -395,16 +395,15 @@ def predict(params, data, Xstar):
     b = assemble(params, data)
     Hs = fm.forward(params.arch, params.fmap, Xstar)[-1]
     n1, rho = data.n1, params.rho
-    r = np.where(np.arange(b.H.shape[0]) < n1, 1.0, rho)
-    Ks = rho * r * kern.gram(params.k1, Hs, b.H)
-    Ks[:, n1:] += kern.gram(params.k2, Hs, b.H[n1:])
+    G1, G2 = kern.gram(params.k1, Hs, b.H), kern.gram(params.k2, Hs, b.H[n1:])
+    Ks = _joint_cov(G1, G2, rho, 0, n1)
     mean = Ks @ b.alpha
     if not np.all(np.isfinite(Ks)):  # e.g. NaN queries; L is finite
         raise ValueError("array must not contain infs or NaNs")
     v = solve_triangular(b.chol, Ks.T)
     prior = rho**2 * params.k1.signal_variance + params.k2.signal_variance
     var = prior - np.sum(v**2, axis=0)
-    return PosteriorPrediction(mean, np.maximum(var, 0.0))
+    return PosteriorPrediction(mean, np.maximum(var, 0.0), Hs)
 
 
 def sample_prior(params, X, seed):

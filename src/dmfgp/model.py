@@ -47,11 +47,12 @@ class FittedModel:
         return self.data.centered(self.center_mean, self.center_scale)
 
     def predict(self, Xstar):
-        """Posterior of the latent high-fidelity output, in original units."""
+        """Posterior of the latent high-fidelity output in original units, and h(Xstar)."""
         raw = mfgp.predict(self.params, self._centered, Xstar)
         return PosteriorPrediction(
             raw.mean * self.center_scale + self.center_mean,
             raw.variance * self.center_scale**2,
+            raw.features,
         )
 
     def features(self, X):

@@ -112,13 +112,13 @@ class TestForresterTruth:
 
 class TestTrueHSample:
     def test_lower_branch(self):
-        np.testing.assert_allclose(true_h_sample(0.25), [0.25, 0.25])
+        np.testing.assert_allclose(true_h_sample(np.array([0.25])), [[0.25, 0.25]])
 
     def test_upper_branch(self):
-        np.testing.assert_allclose(true_h_sample(0.75), [0.75, 1.5])
+        np.testing.assert_allclose(true_h_sample(np.array([0.75])), [[0.75, 1.5]])
 
     def test_boundary_tie_breaks_low(self):
-        np.testing.assert_allclose(true_h_sample(0.5), [0.5, 0.5])
+        np.testing.assert_allclose(true_h_sample(np.array([0.5])), [[0.5, 0.5]])
 
     def test_vectorized(self):
         out = true_h_sample(np.array([0.1, 0.9]))

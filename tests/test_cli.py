@@ -200,6 +200,20 @@ class TestPredict:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    def test_queries_are_mapped_once(self, small_pipeline, tmp_path, capsys, monkeypatch):
+        # one forward pass over the training rows and one over the queries
+        _, _, mdl = small_pipeline
+        q = tmp_path / "q.csv"
+        q.write_text("x0\n0.1\n0.5\n1.2\n1.5\n1.9\n")
+        rows, forward = [], dmfgp.feature_map.forward
+        monkeypatch.setattr(
+            dmfgp.feature_map, "forward", lambda a, p, X: rows.append(len(X)) or forward(a, p, X)
+        )
+        code, _, _ = run(capsys, "predict", "--model", str(mdl), "--queries", str(q),
+                         "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        assert rows == [16, 5]  # 12 low- and 4 high-fidelity training rows, then 5 queries
+
     @pytest.mark.parametrize(
         "text",
         ["x0\n", "x0\n0.5\nnan\n", "x0\n0.5\ninf\n", "fidelity,x0,y\n", "fidelity,x0,y\n2,nan,0.0\n"],

@@ -360,9 +360,14 @@ class TestNllGradient:
 
 
 class TestPredict:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_oracle(self, seed):
-        params = ar1_model(rho=1.1)
+    @pytest.mark.parametrize(
+        "seed, rho",
+        [(0, 1.1), (1, 1.1), (2, 1.1), (0, -0.8), (1, -0.8), (2, -0.8)],
+        ids=["0", "1", "2", "0-negative-rho", "1-negative-rho", "2-negative-rho"],
+    )
+    def test_matches_oracle(self, seed, rho):
+        # a negative rho flips the sign of K_*'s low-fidelity columns only
+        params = ar1_model(rho=rho)
         data = random_data(seed)
         xs = np.linspace(-0.5, 2.5, 9).reshape(-1, 1)
         out = predict(params, data, xs)

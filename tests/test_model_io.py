@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import io as stdio
+import re
 
 import numpy as np
 import pytest
 
 from dmfgp import io, mfgp, model
-from dmfgp.feature_map import LayerSpec
+from dmfgp.feature_map import LayerSpec, identity_map
+from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import Dataset
 from dmfgp.trainer import TrainConfig, train
 
@@ -111,6 +113,22 @@ class TestQueriesCsv:
         X = io.read_queries(path)
         np.testing.assert_allclose(X, [[0.3], [0.4]])
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("2,0.1,0\n\n2,oops,0\n", ":4: could not convert"),
+            ("2,0.1,0\n2,0.2\n", ":3: expected 3 fields, got 2"),
+            ("2,0.1,0\n3,0.2,0\n", ":3: fidelity must be 1 or 2, got 3"),
+            ("2,0.1,0\r\n2,inf,0\r\n", ":3: non-finite value"),
+        ],
+        ids=["blank-line", "short-row", "bad-fidelity", "crlf"],
+    )
+    def test_fidelity_format_errors_cite_the_line(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("fidelity,x0,y\n" + body).encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}"):
+            io.read_queries(path)
+
 
 class TestPredictionsCsv:
     def test_columns(self, tmp_path, fitted):
@@ -205,6 +223,18 @@ class TestFittedModel:
             m.data.f2[0] = 0.0
         data.f2[0] = 0.0  # the caller's arrays stay the caller's
         assert m.data.f2[0] != 0.0
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(3, 4)], ids=["batch", "one-row"])
+    @pytest.mark.parametrize("depth", ["deep", "zero-layer"])
+    def test_predict_returns_the_query_features(self, fitted, depth, rows):
+        m = fitted
+        if depth == "zero-layer":
+            k = KernelParams(0.0, np.zeros(1))
+            params = mfgp.ModelParams(-0.8, k, k, *identity_map(1))
+            m = model.FittedModel(params, fitted.data, fitted.center_mean, fitted.center_scale)
+        X = np.linspace(0, 1, 7).reshape(-1, 1)[rows]
+        got, want = m.predict(X).features, m.features(X)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_nll_matches_report(self, fitted):
         assert trained_nll(fitted) == pytest.approx(fitted.meta["best_nll"], rel=1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmfgp import mfgp, trainer
-from dmfgp.feature_map import FeatureMapGrad, LayerSpec
+from dmfgp.feature_map import FeatureMapParams, LayerSpec
 from dmfgp.kernel import KernelParams
 from dmfgp.mfgp import Dataset, ModelGradient, ModelParams, nll, nll_gradient, sample_prior
 from dmfgp.trainer import (
@@ -115,7 +115,7 @@ class TestPacking:
                 p.log_noise1, p.log_noise2 = rng.normal(size=2)
                 g = ModelGradient(
                     p.rho, p.k1.to_vector(), p.k2.to_vector(),
-                    FeatureMapGrad(p.fmap.weights, p.fmap.biases),
+                    FeatureMapParams(p.fmap.weights, p.fmap.biases),
                     p.log_noise1, p.log_noise2, nll=0.0,
                 )
                 np.testing.assert_array_equal(pack_gradient(g, cfg), pack_params(p, cfg))
