@@ -51,8 +51,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown benchmark kind {self.kind!r}; expected one of {KINDS}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.noise_sd >= 0:  # also rejects NaN
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < np.inf:  # also rejects NaN
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         d1, d2 = _DEFAULT_SIZES[self.kind]
         if self.n1 is None:
             self.n1 = d1

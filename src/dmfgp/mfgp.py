@@ -45,13 +45,11 @@ NOISE_FLOOR = 1e-8
 
 
 class NotPositiveDefiniteError(RuntimeError):
-    """Cholesky failed even after jitter escalation."""
+    """Cholesky failed at the jitter of _chol (inf for a non-finite matrix)."""
 
-    def __init__(self, final_jitter):
-        super().__init__(
-            f"covariance matrix is not positive definite (final jitter tried: {final_jitter:g})"
-        )
-        self.final_jitter = final_jitter
+    def __init__(self, jitter):
+        super().__init__(f"covariance matrix is not positive definite (jitter: {jitter:g})")
+        self.jitter = jitter
 
 
 class TrainingFailedError(RuntimeError):
@@ -196,10 +194,10 @@ def solve_triangular(L, B):
     return x
 
 
-def _chol_with_escalation(K):
-    """Cholesky of K + j*I by the one jitter rule: j starts at
-    1e-8 * mean(diag K) and grows x10 on each failure, up to a cap of
-    1e-2 * max(mean(diag K), 1). Returns (L, j).
+def _chol(K):
+    """Cholesky of K + j*I by the one jitter rule, j = 1e-8 * mean(diag K),
+    in one attempt. Returns (L, j); raises NotPositiveDefiniteError(j) when
+    K + j*I is not positive definite.
 
     The learned feature map can collapse distinct inputs onto nearly the
     same feature, making K numerically singular.
@@ -207,25 +205,17 @@ def _chol_with_escalation(K):
     if not np.all(np.isfinite(K)):
         # overflowed hyperparameters; certainly not factorizable
         raise NotPositiveDefiniteError(np.inf)
-    mean_diag = float(np.diag(K).mean())
-    cap = 1e-2 * max(mean_diag, 1.0)
-    j = max(1e-8 * mean_diag, 0.0)
-    # one Fortran-ordered work array, refilled per attempt and factored in
-    # place: adding 0.0 everywhere and j on the diagonal gives the bits of
-    # K + j * I (-0.0 becomes +0.0 as there), with no identity and no copy
+    j = 1e-8 * float(np.diag(K).mean())
+    # a Fortran-ordered work array factored in place: adding 0.0 everywhere
+    # and j on the diagonal gives the bits of K + j * I (-0.0 becomes +0.0
+    # as there), with no identity and no second copy
     n = K.shape[0]
-    A = np.empty((n, n), order="F")
-    diag = A.reshape(-1, order="F")[:: n + 1]  # a strided view of A's diagonal
-    while True:
-        np.add(K, 0.0, out=A)
-        diag += j
-        try:
-            return cholesky(A), j
-        except np.linalg.LinAlgError:
-            pass
-        j = 10.0 * max(j, 1e-16 * max(mean_diag, 1.0))
-        if j > cap:
-            raise NotPositiveDefiniteError(j)
+    A = np.add(K, 0.0, out=np.empty((n, n), order="F"))
+    A.reshape(-1, order="F")[:: n + 1] += j  # a strided view of A's diagonal
+    try:
+        return cholesky(A), j
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(j) from None
 
 
 def _joint_cov(G1, G2, rho, r1, c1):
@@ -253,13 +243,13 @@ def _factor(params, n1, f, H, G1, G2):
     diag = K.reshape(-1)[:: K.shape[0] + 1]  # a strided view of K's diagonal
     diag[:n1] += noise_variance(params.log_noise1)
     diag[n1:] += noise_variance(params.log_noise2)
-    L, j = _chol_with_escalation(K)
+    L, j = _chol(K)
     return GramBundle(K, L, cho_solve(L, f), H, j)
 
 
 def assemble(params, data):
     """Build the joint training covariance and factorize it, with the
-    diagonal jitter of _chol_with_escalation (recorded in the bundle)."""
+    diagonal jitter of _chol (recorded in the bundle)."""
     H = _features(params, data)[-1]
     H2 = H[data.n1 :]
     G1, G2 = kern.gram(params.k1, H, H), kern.gram(params.k2, H2, H2)
@@ -340,9 +330,11 @@ def nll_gradient(params, data):
 
     # the jitter scales with mean(diag K), which itself depends on the
     # signal variances, rho, and the noise terms; chain that in so the
-    # gradient matches the implemented nll exactly
+    # gradient matches the implemented nll exactly. scale is the quotient,
+    # not the constant 1e-8: on about one diagonal in 20, j / mean(diag K)
+    # is 1e-8 off by one ulp, and the constant would move training bits
     mean_diag = float(np.diag(b.K).mean())
-    scale = b.jitter / mean_diag  # escalation level times 1e-8
+    scale = b.jitter / mean_diag
     trA = float(np.trace(A))
     sv1, sv2 = params.k1.signal_variance, params.k2.signal_variance
     d_rho += trA * scale * 2.0 * rho * sv1 * n2 / n
@@ -416,7 +408,7 @@ def sample_prior(params, X, seed):
     vector z of length 2n: g1 = chol(k1(H, H)) z[:n], g2 = chol(k2(H, H)) z[n:].
     That is the joint prior in distribution, from two n x n factors in place
     of one 2n x 2n factor. Each kernel's Gram gets its own jitter, by the
-    rule of _chol_with_escalation.
+    rule of _chol.
     """
     H = fm.forward(params.arch, params.fmap, X)[-1]
     n = H.shape[0]
@@ -424,6 +416,6 @@ def sample_prior(params, X, seed):
         raise ValueError("need at least one sample point")
     z = np.random.default_rng(seed).standard_normal(2 * n)
     # one statement per kernel, so each Gram and factor is freed before the next
-    g1 = _chol_with_escalation(kern.gram(params.k1, H, H))[0] @ z[:n]
-    g2 = _chol_with_escalation(kern.gram(params.k2, H, H))[0] @ z[n:]
+    g1 = _chol(kern.gram(params.k1, H, H))[0] @ z[:n]
+    g2 = _chol(kern.gram(params.k2, H, H))[0] @ z[n:]
     return g1, params.rho * g1 + g2

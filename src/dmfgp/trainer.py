@@ -8,8 +8,10 @@ feature-map symmetries: each draws its own layer weights. The zero-layer map
 (the AR(1) baseline) draws nothing, so its restarts share one start point;
 train minimizes each distinct start point once and copies its record to the
 restarts that repeat it. Parameter settings whose covariance cannot be
-factorized (e.g. from sigmoid saturation degenerating the kernel matrix)
-are mapped to a large penalty value, which the line search rejects.
+factorized, or whose NLL or gradient is not finite, are mapped to a large
+penalty value, which the line search rejects. The penalties seen in
+practice come from a non-finite K, NLL or gradient, not from a finite K
+that the jittered Cholesky fails on.
 """
 
 from dataclasses import dataclass, field
@@ -56,8 +58,10 @@ class TrainConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.frozen_noise_variance <= 0:
-            raise ValueError("frozen_noise_variance must be > 0")
+        if not 0 < self.frozen_noise_variance < np.inf:  # also rejects NaN
+            raise ValueError(
+                f"frozen_noise_variance must be finite and > 0, got {self.frozen_noise_variance}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

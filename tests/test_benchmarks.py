@@ -32,7 +32,8 @@ class TestBenchmarkSpec:
             BenchmarkSpec("step", n1=150, n2=100)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"n1": 0}, {"n2": 0}, {"n1": -5}, {"noise_sd": -1.0}, {"noise_sd": float("nan")}]
+        "kwargs", [{"n1": 0}, {"n2": 0}, {"n1": -5}, {"noise_sd": -1.0}, {"noise_sd": float("nan")},
+                   {"noise_sd": float("inf")}]
     )
     def test_rejects_invalid_sizes_and_noise(self, kwargs):
         with pytest.raises(ValueError):

@@ -406,6 +406,8 @@ class TestUsageErrors:
             ["--max-iterations", "0"],
             ["--max-iterations", "-5"],
             ["--seed", "-3"],
+            ["--freeze-noise", "--noise-variance", "nan"],
+            ["--freeze-noise", "--noise-variance", "inf"],
         ],
     )
     def test_invalid_training_config(self, small_pipeline, capsys, flags):
@@ -418,13 +420,14 @@ class TestUsageErrors:
         "flags",
         [
             ["--noise-sd", "-1"],
+            ["--noise-sd", "inf"],
             ["--n1", "-5"],
             ["--n1", "0"],
             ["--n2", "0"],
             ["--n1", "300"],
             ["--seed", "-1"],
         ],
-        ids=["negative-noise", "negative-n1", "zero-n1", "zero-n2", "too-many-points",
+        ids=["negative-noise", "inf-noise", "negative-n1", "zero-n1", "zero-n2", "too-many-points",
              "negative-seed"],
     )
     def test_invalid_generate_spec(self, tmp_path, capsys, flags):

@@ -20,7 +20,7 @@ from dmfgp.mfgp import (
     Dataset,
     ModelParams,
     NotPositiveDefiniteError,
-    _chol_with_escalation,
+    _chol,
     assemble,
     nll,
     nll_gradient,
@@ -103,23 +103,30 @@ class TestNoiseVariance:
 
 
 class TestCholWithEscalation:
-    def test_escalates_by_tens_until_the_factor_exists(self):
-        # indefinite by 1e-7: 1e-8 and 1e-7 fail, 1e-6 succeeds
-        K = np.array([[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0]])
-        L, j = _chol_with_escalation(K)
-        assert j == pytest.approx(1e-6, rel=1e-12)
-        np.testing.assert_allclose(L @ L.T, K + j * np.eye(2), rtol=0, atol=1e-15)
-
-    def test_raises_past_the_cap(self):
-        # eigenvalue -1: no jitter up to the 1e-2 cap helps
+    def test_raises_at_the_base_jitter(self):
+        # eigenvalue -1: the one jitter, 1e-8 of mean(diag K) = 1, cannot help
         with pytest.raises(NotPositiveDefiniteError) as e:
-            _chol_with_escalation(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert e.value.final_jitter == pytest.approx(0.1, rel=1e-12)
+            _chol(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert e.value.jitter == 1e-8
+
+    def test_factors_once(self, monkeypatch):
+        # indefinite by 1e-7, which a jitter of 1e-6 would mend
+        calls, real_cholesky = [], mfgp.cholesky
+
+        def counting_cholesky(A):
+            calls.append(None)
+            return real_cholesky(A)
+
+        monkeypatch.setattr(mfgp, "cholesky", counting_cholesky)
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            _chol(np.array([[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0]]))
+        assert len(calls) == 1
+        assert e.value.jitter == 1e-8
 
     def test_raises_on_non_finite_entries(self):
         with pytest.raises(NotPositiveDefiniteError) as e:
-            _chol_with_escalation(np.array([[1.0, np.inf], [np.inf, 1.0]]))
-        assert e.value.final_jitter == np.inf
+            _chol(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        assert e.value.jitter == np.inf
 
     def test_well_conditioned_jitter_is_the_starting_rule(self):
         params, data = ar1_model(), random_data(0)
@@ -163,21 +170,6 @@ class TestLapackHelpers:
     def test_cholesky_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
             mfgp.cholesky(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_escalation_reaches_the_jitter_of_scipy_cholesky(self):
-        # a numerically singular Gram made indefinite by 3e-7
-        x = np.linspace(0, 1, 60).reshape(-1, 1)
-        K = kern.gram(KernelParams(0.0, [0.0]), x, x) - 3e-7 * np.eye(60)
-        j = 1e-8 * np.mean(np.diag(K))
-        while True:
-            try:
-                expected = scipy.linalg.cholesky(K + j * np.eye(60), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                j *= 10.0
-        L, jitter = _chol_with_escalation(K)
-        assert jitter > 1e-8 * np.mean(np.diag(K))  # it did escalate
-        assert jitter == j and self.same_bits(L, expected)
 
 
 class TestJointCovariance:

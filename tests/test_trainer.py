@@ -225,6 +225,35 @@ class TestTrain:
         assert (first.final_nll, first.iterations, first.stop) == (np.inf, 0, INFEASIBLE_START)
         assert second.stop == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
 
+    def test_factor_failure_mid_fit_is_penalised(self, monkeypatch):
+        # the third factorization of an AR(1) fit fails: that evaluation
+        # gets the penalty, and the line search steps back from it
+        factorizations, raised = [], []
+        real_cholesky, real_gradient = mfgp.cholesky, mfgp.nll_gradient
+
+        def failing_third_cholesky(A):
+            factorizations.append(None)
+            if len(factorizations) == 3:
+                raise np.linalg.LinAlgError("injected")
+            return real_cholesky(A)
+
+        def recording_gradient(*args, **kwargs):
+            try:
+                return real_gradient(*args, **kwargs)
+            except mfgp.NotPositiveDefiniteError as e:
+                raised.append(e)
+                raise
+
+        data = prior_data(0)  # drawn before the patch: sample_prior factors too
+        monkeypatch.setattr(mfgp, "cholesky", failing_third_cholesky)
+        monkeypatch.setattr(mfgp, "nll_gradient", recording_gradient)
+        cfg = TrainConfig(seed=0, restarts=1, freeze_feature_map=True)
+        (result,) = train(data, ARCH, cfg).per_restart
+        assert len(factorizations) > 3
+        assert len(raised) == 1 and np.isfinite(raised[0].jitter)
+        assert np.isfinite(result.final_nll)
+        assert result.stop == "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+
     def test_identity_baseline_equals_frozen_map_training(self):
         data = prior_data(8)
         cfg = TrainConfig(seed=8, restarts=2, max_iterations=200, freeze_feature_map=True)

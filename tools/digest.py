@@ -2,7 +2,7 @@
 bit for bit.
 
 Run it on both checkouts at the same BLAS thread count and compare the
-lines; equal lines mean equal bits for that group:
+outputs; equal lines mean equal bits for that group:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py objective cli
@@ -20,9 +20,11 @@ Groups (all by default):
   forrester and sample at seed 1 (deep with 3 restarts and --baseline ar1,
   grid and --queries predictions), run with relative paths.
 
-`prior_sample` data depend on the BLAS thread count, so compare digests made
-at the same count. The fits group takes most of the time (about half a
-minute on two CPUs).
+The first line, `threads OPENBLAS_NUM_THREADS=<value|unset>`, records the
+BLAS thread setting: `prior_sample` data depend on the thread count, so two
+digests compare only when that line matches too, and a plain `diff` of the
+two outputs shows a mismatched pair. The fits group takes most of the time
+(about half a minute on two CPUs).
 """
 
 import argparse
@@ -135,6 +137,7 @@ def main():
     groups = parser.parse_args().groups or names
     if set(groups) - set(names):
         parser.error(f"unknown group in {groups}; choose from {names}")
+    print(f"threads OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     out = {}
     if "objective" in groups:
         out["objective"] = objective()
