@@ -64,14 +64,15 @@ def _default_test_path(out):
 
 
 def cmd_generate(args):
+    kind = _KIND_ALIASES[args.kind]
+    if args.noise_sd is None:
+        noise = {}
+    elif kind == "step":
+        noise = {"noise_sd": args.noise_sd}
+    else:
+        raise UsageError(f"--noise-sd sets the step benchmark's noise; --kind {args.kind} is noise-free")
     try:
-        spec = BenchmarkSpec(
-            _KIND_ALIASES[args.kind],
-            seed=args.seed,
-            n1=args.n1,
-            n2=args.n2,
-            noise_sd=args.noise_sd,
-        )
+        spec = BenchmarkSpec(kind, seed=args.seed, n1=args.n1, n2=args.n2, **noise)
     except ValueError as e:
         raise UsageError(str(e)) from None
     data, grid, truth = benchmarks.generate(spec)
@@ -178,7 +179,10 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--n1", type=int, default=None)
     g.add_argument("--n2", type=int, default=None)
-    g.add_argument("--noise-sd", type=float, default=0.01)
+    g.add_argument(
+        "--noise-sd", type=float, default=None,
+        help="observation noise standard deviation, step only (default 0.01)",
+    )
     g.add_argument("--out", required=True)
     g.add_argument("--test-out", default=None)
     g.set_defaults(func=cmd_generate)

@@ -406,16 +406,22 @@ def sample_prior(params, X, seed):
     The draw follows the AR(1) recursion f1 = g1, f2 = rho * g1 + g2, with
     g1 ~ GP(0, k1) and g2 ~ GP(0, k2) independent, from one standard normal
     vector z of length 2n: g1 = chol(k1(H, H)) z[:n], g2 = chol(k2(H, H)) z[n:].
-    That is the joint prior in distribution, from two n x n factors in place
-    of one 2n x 2n factor. Each kernel's Gram gets its own jitter, by the
-    rule of _chol.
+    That is the joint prior in distribution, from n x n factors in place of
+    one 2n x 2n factor. Each kernel's Gram gets its own jitter, by the rule
+    of _chol. When k1 and k2 are equal in value (as in the prior_sample
+    truth and every init_params start), their Grams and factors are too, so
+    one Gram and one factor serve both draws, with the same bits as two.
     """
     H = fm.forward(params.arch, params.fmap, X)[-1]
     n = H.shape[0]
     if n == 0:
         raise ValueError("need at least one sample point")
     z = np.random.default_rng(seed).standard_normal(2 * n)
-    # one statement per kernel, so each Gram and factor is freed before the next
-    g1 = _chol(kern.gram(params.k1, H, H))[0] @ z[:n]
-    g2 = _chol(kern.gram(params.k2, H, H))[0] @ z[n:]
+    if params.k2 == params.k1:
+        L = _chol(kern.gram(params.k1, H, H))[0]
+        g1, g2 = L @ z[:n], L @ z[n:]
+    else:
+        # one statement per kernel, so each Gram and factor is freed before the next
+        g1 = _chol(kern.gram(params.k1, H, H))[0] @ z[:n]
+        g2 = _chol(kern.gram(params.k2, H, H))[0] @ z[n:]
     return g1, params.rho * g1 + g2

@@ -437,6 +437,21 @@ class TestUsageErrors:
         assert "error" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["forrester", "sample"])
+    @pytest.mark.parametrize("noise", ["5", "0.01"])
+    def test_noise_sd_is_step_only(self, tmp_path, capsys, kind, noise):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "generate", "--kind", kind, "--noise-sd", noise, "--out", str(out))
+        assert code == 1
+        assert "--noise-sd" in err
+        assert not out.exists()
+
+    def test_step_noise_sd_defaults_to_one_hundredth(self, tmp_path, capsys):
+        paths = [tmp_path / "default.csv", tmp_path / "explicit.csv", tmp_path / "other.csv"]
+        for path, flags in zip(paths, ([], ["--noise-sd", "0.01"], ["--noise-sd", "0.5"])):
+            assert run(capsys, "generate", "--kind", "step", *flags, "--out", str(path))[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_invalid_grid(self, small_pipeline, capsys, grid):
         root, _, mdl = small_pipeline

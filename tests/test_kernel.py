@@ -14,6 +14,38 @@ def random_params(rng, D):
     return KernelParams(rng.normal(0, 0.5), rng.normal(0, 0.5, D))
 
 
+class TestKernelParamsEquality:
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_equal_values_in_distinct_objects(self, D):
+        a = KernelParams(0.25, np.linspace(-1.0, 1.0, D))
+        b = KernelParams(0.25, list(np.linspace(-1.0, 1.0, D)))
+        assert a is not b and a.log_lengthscales is not b.log_lengthscales
+        assert a == b and not a != b
+        assert KernelParams(0.0, np.zeros(D)) == KernelParams(-0.0, [-0.0] * D)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_unequal_values(self, D):
+        a = KernelParams(0.25, np.zeros(D))
+        other = np.zeros(D)
+        other[-1] = 1e-12
+        assert a != KernelParams(0.25, other)
+        assert a != KernelParams(0.5, np.zeros(D))
+        assert a != KernelParams(0.25, np.zeros(D + 1))
+        assert a != (0.25, np.zeros(D))
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_nan_is_unequal(self, D):
+        ls = np.zeros(D)
+        ls[0] = np.nan
+        a = KernelParams(0.0, ls)
+        assert a != a.from_vector(a.to_vector())
+        assert KernelParams(np.nan, np.zeros(D)) != KernelParams(np.nan, np.zeros(D))
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(unit_params(2))
+
+
 class TestGram:
     def test_single_point(self):
         np.testing.assert_allclose(gram(unit_params(), [[0.0]], [[0.0]]), [[1.0]])

@@ -5,10 +5,12 @@ Run it on both checkouts at the same BLAS thread count and compare the
 outputs; equal lines mean equal bits for that group:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py objective cli
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py generate objective cli
 
 Groups (all by default):
 
+- generate: benchmarks.generate output (the data arrays, the grid and its
+  truth) for the 3 kinds at seeds 0-29.
 - objective: NLL and packed gradient at perturbed points: 3 kinds, data
   seeds 0-4, deep and zero-layer maps, 4 restart start points, 3
   perturbations of each.
@@ -54,6 +56,15 @@ def _config(kind, seed, baseline, restarts=10):
 def _update(h, *values):
     for v in values:
         h.update(np.asarray(v, dtype=float).tobytes())
+
+
+def generated():
+    h = hashlib.sha256()
+    for kind in KINDS:
+        for seed in range(30):
+            data, grid, truth = benchmarks.generate(benchmarks.BenchmarkSpec(kind, seed=seed))
+            _update(h, data.x1, data.f1, data.x2, data.f2, grid, truth)
+    return h.hexdigest()
 
 
 def objective():
@@ -131,7 +142,7 @@ def cli_files():
 
 
 def main():
-    names = ("objective", "fits", "predict", "cli")
+    names = ("generate", "objective", "fits", "predict", "cli")
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("groups", nargs="*", help=f"any of {', '.join(names)} (default: all)")
     groups = parser.parse_args().groups or names
@@ -139,6 +150,8 @@ def main():
         parser.error(f"unknown group in {groups}; choose from {names}")
     print(f"threads OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     out = {}
+    if "generate" in groups:
+        out["generate"] = generated()
     if "objective" in groups:
         out["objective"] = objective()
     if "fits" in groups or "predict" in groups:
