@@ -36,13 +36,26 @@ class LayerSpec:
             raise ValueError("layer widths must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMapParams:
     """Per-layer weights (output_width x input_width) and biases (output_width,);
-    also the gradient with respect to them, which has the same shapes."""
+    also the gradient with respect to them, which has the same shapes.
+
+    Two FeatureMapParams are equal when their values are: the same number
+    of layers, and equal arrays layer by layer, NaN equal to nothing. The
+    class is unhashable, as the arrays stay mutable.
+    """
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureMapParams):
+            return NotImplemented
+        pairs = (self.weights, other.weights), (self.biases, other.biases)
+        return all(len(a) == len(b) and all(map(np.array_equal, a, b)) for a, b in pairs)
+
+    __hash__ = None
 
 
 def _validate(arch, params, X):

@@ -99,9 +99,13 @@ class Dataset:
         return Dataset(self.x1, (self.f1 - mean) / scale, self.x2, (self.f2 - mean) / scale)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
-    """The full parameter set theta = [rho, theta1, theta2, theta_h, noise]."""
+    """The full parameter set theta = [rho, theta1, theta2, theta_h, noise].
+
+    Two ModelParams are equal when their values are, part by part, NaN
+    equal to nothing. The class is unhashable, as its arrays stay mutable.
+    """
 
     rho: float
     k1: KernelParams
@@ -120,6 +124,21 @@ class ModelParams:
                 f"feature-map output width ({d_out})"
             )
 
+    def __eq__(self, other):
+        if not isinstance(other, ModelParams):
+            return NotImplemented
+        return (
+            bool(self.rho == other.rho)
+            and self.k1 == other.k1
+            and self.k2 == other.k2
+            and self.arch == other.arch
+            and self.fmap == other.fmap
+            and bool(self.log_noise1 == other.log_noise1)
+            and bool(self.log_noise2 == other.log_noise2)
+        )
+
+    __hash__ = None
+
 
 @dataclass
 class ModelGradient:
@@ -137,13 +156,13 @@ class ModelGradient:
 
 @dataclass
 class GramBundle:
-    """Assembled joint covariance with its Cholesky factorization."""
+    """The factored joint covariance; K itself is overwritten by _chol."""
 
-    K: np.ndarray
-    chol: np.ndarray  # lower triangular factor of K + jitter * I
+    chol: np.ndarray  # lower triangular factor of K + jitter * I, in K's memory
     alpha: np.ndarray  # (K + jitter I)^{-1} f
     H: np.ndarray  # features of [x1; x2]
     jitter: float
+    mean_diag: float  # mean(diag K), which sets the jitter
 
 
 @dataclass
@@ -196,8 +215,9 @@ def solve_triangular(L, B):
 
 def _chol(K):
     """Cholesky of K + j*I by the one jitter rule, j = 1e-8 * mean(diag K),
-    in one attempt. Returns (L, j); raises NotPositiveDefiniteError(j) when
-    K + j*I is not positive definite.
+    in one attempt, in the memory of K (C-ordered and exactly symmetric),
+    which it overwrites, on failure too. Returns (L, j, mean(diag K));
+    raises NotPositiveDefiniteError(j) when K + j*I is not positive definite.
 
     The learned feature map can collapse distinct inputs onto nearly the
     same feature, making K numerically singular.
@@ -205,15 +225,12 @@ def _chol(K):
     if not np.all(np.isfinite(K)):
         # overflowed hyperparameters; certainly not factorizable
         raise NotPositiveDefiniteError(np.inf)
-    j = 1e-8 * float(np.diag(K).mean())
-    # a Fortran-ordered work array factored in place: adding 0.0 everywhere
-    # and j on the diagonal gives the bits of K + j * I (-0.0 becomes +0.0
-    # as there), with no identity and no second copy
-    n = K.shape[0]
-    A = np.add(K, 0.0, out=np.empty((n, n), order="F"))
-    A.reshape(-1, order="F")[:: n + 1] += j  # a strided view of A's diagonal
+    mean_diag = float(np.diag(K).mean())
+    j = 1e-8 * mean_diag
+    K += 0.0  # -0.0 becomes +0.0, as in K + j * I
+    K.reshape(-1)[:: K.shape[0] + 1] += j  # a strided view of K's diagonal
     try:
-        return cholesky(A), j
+        return cholesky(K.T), j, mean_diag  # K.T is K in Fortran order
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(j) from None
 
@@ -238,13 +255,13 @@ def _features(params, data):
 def _factor(params, n1, f, H, G1, G2):
     """The factor step shared by assemble and nll_gradient: K from the Grams
     G1 = k1(H, H) (scaled in place) and G2 = k2(H2, H2), the noise diagonal,
-    the Cholesky factor of K and alpha = K^-1 f."""
+    the Cholesky factor of K (in G1's memory) and alpha = K^-1 f."""
     K = _joint_cov(G1, G2, params.rho, n1, n1)
     diag = K.reshape(-1)[:: K.shape[0] + 1]  # a strided view of K's diagonal
     diag[:n1] += noise_variance(params.log_noise1)
     diag[n1:] += noise_variance(params.log_noise2)
-    L, j = _chol(K)
-    return GramBundle(K, L, cho_solve(L, f), H, j)
+    L, j, mean_diag = _chol(K)
+    return GramBundle(L, cho_solve(L, f), H, j, mean_diag)
 
 
 def assemble(params, data):
@@ -333,8 +350,7 @@ def nll_gradient(params, data):
     # gradient matches the implemented nll exactly. scale is the quotient,
     # not the constant 1e-8: on about one diagonal in 20, j / mean(diag K)
     # is 1e-8 off by one ulp, and the constant would move training bits
-    mean_diag = float(np.diag(b.K).mean())
-    scale = b.jitter / mean_diag
+    scale = b.jitter / b.mean_diag
     trA = float(np.trace(A))
     sv1, sv2 = params.k1.signal_variance, params.k2.signal_variance
     d_rho += trA * scale * 2.0 * rho * sv1 * n2 / n

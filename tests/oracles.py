@@ -37,14 +37,17 @@ def ar1_joint_cov(x1, x2, rho, sf2_1, ls1, sf2_2, ls2, n1var, n2var):
     return np.vstack([top, bot])
 
 
-def ar1_nll(x1, f1, x2, f2, rho, sf2_1, ls1, sf2_2, ls2, n1var, n2var, jitter):
-    K = ar1_joint_cov(x1, x2, rho, sf2_1, ls1, sf2_2, ls2, n1var, n2var)
-    K = K + jitter * np.eye(len(K))
-    f = np.concatenate([f1, f2])
+def gp_nll(K, y):
+    """Negative log density of y under N(0, K)."""
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
-    quad = f @ np.linalg.inv(K) @ f
-    return 0.5 * quad + 0.5 * logdet + 0.5 * len(f) * np.log(2 * np.pi)
+    quad = y @ np.linalg.inv(K) @ y
+    return 0.5 * quad + 0.5 * logdet + 0.5 * len(y) * np.log(2 * np.pi)
+
+
+def ar1_nll(x1, f1, x2, f2, rho, sf2_1, ls1, sf2_2, ls2, n1var, n2var, jitter):
+    K = ar1_joint_cov(x1, x2, rho, sf2_1, ls1, sf2_2, ls2, n1var, n2var)
+    return gp_nll(K + jitter * np.eye(len(K)), np.concatenate([f1, f2]))
 
 
 def ar1_predict(x1, f1, x2, f2, xs, rho, sf2_1, ls1, sf2_2, ls2, n1var, n2var, jitter):

@@ -29,7 +29,7 @@ from dmfgp.mfgp import (
     sample_prior,
 )
 
-from oracles import ar1_joint_cov, ar1_nll, ar1_predict
+from oracles import ar1_joint_cov, ar1_nll, ar1_predict, gp_nll, se_kernel_matrix
 from test_cli import _src_env
 
 
@@ -59,6 +59,17 @@ def random_data(seed, n1=7, n2=3, D=1):
         rng.uniform(0, 2, (n1, D)), rng.normal(size=n1),
         rng.uniform(0, 2, (n2, D)), rng.normal(size=n2),
     )
+
+
+def assembled_with_k(params, data):
+    """assemble's bundle, and a copy of the joint covariance K that it
+    factored, taken as _chol receives it: the factor overwrites K."""
+    seen, chol = [], mfgp._chol
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mfgp, "_chol", lambda K: seen.append(K.copy()) or chol(K))
+        b = assemble(params, data)
+    (K,) = seen
+    return b, K
 
 
 def oracle_args(params, data):
@@ -102,7 +113,7 @@ class TestNoiseVariance:
         assert noise_variance(np.log(1e-4)) == pytest.approx(1e-4 + NOISE_FLOOR)
 
 
-class TestCholWithEscalation:
+class TestChol:
     def test_raises_at_the_base_jitter(self):
         # eigenvalue -1: the one jitter, 1e-8 of mean(diag K) = 1, cannot help
         with pytest.raises(NotPositiveDefiniteError) as e:
@@ -129,25 +140,45 @@ class TestCholWithEscalation:
         assert e.value.jitter == np.inf
 
     def test_well_conditioned_jitter_is_the_starting_rule(self):
-        params, data = ar1_model(), random_data(0)
-        b = assemble(params, data)
-        assert b.jitter == 1e-8 * np.mean(np.diag(b.K))
+        b, K = assembled_with_k(ar1_model(), random_data(0))
+        assert b.jitter == 1e-8 * np.mean(np.diag(K))
+        assert b.mean_diag == np.mean(np.diag(K))
+
+    def test_factors_in_the_memory_of_k(self):
+        X = np.random.default_rng(0).uniform(0, 2, (40, 2))
+        K = kern.gram(KernelParams(0.3, [-0.2, 0.1]), X, X)
+        A = K + 1e-8 * np.mean(np.diag(K)) * np.eye(40)
+        expected = scipy.linalg.cholesky(A, lower=True, check_finite=False)
+        L = _chol(K)[0]
+        assert np.shares_memory(L, K)
+        assert L.tobytes() == expected.tobytes()
+
+    def test_negative_zero_is_factored_as_zero(self):
+        # a negative rho times an underflowed Gram entry gives -0.0; K + j*I
+        # reads it as +0.0, and so does the factor
+        L = _chol(np.array([[1.0, -0.0], [-0.0, 2.0]]))[0]
+        assert not np.signbit(L).any()
 
 
 class TestLapackHelpers:
     """mfgp's direct LAPACK calls return scipy.linalg's bits."""
 
     @pytest.fixture(scope="class")
-    def bundle(self):
+    def factored(self):
         # a joint covariance at benchmark size: 50 + 15 rows on a deep map
-        return assemble(deep_model(), random_data(2, n1=50, n2=15))
+        return assembled_with_k(deep_model(), random_data(2, n1=50, n2=15))
+
+    @pytest.fixture(scope="class")
+    def bundle(self, factored):
+        return factored[0]
 
     @staticmethod
     def same_bits(a, b):
         return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_cholesky(self, bundle):
-        A = bundle.K + bundle.jitter * np.eye(bundle.K.shape[0])
+    def test_cholesky(self, factored):
+        bundle, K = factored
+        A = K + bundle.jitter * np.eye(K.shape[0])
         expected = scipy.linalg.cholesky(A, lower=True, check_finite=False)
         L = mfgp.cholesky(np.asfortranarray(A))
         assert self.same_bits(L, expected) and L.flags.f_contiguous
@@ -155,14 +186,14 @@ class TestLapackHelpers:
 
     @pytest.mark.parametrize("rhs", ["vector", "identity"])
     def test_cho_solve(self, bundle, rhs):
-        n = bundle.K.shape[0]
+        n = bundle.chol.shape[0]
         b = np.random.default_rng(0).normal(size=n) if rhs == "vector" else np.eye(n)
         expected = scipy.linalg.cho_solve((bundle.chol, True), b, check_finite=False)
         assert self.same_bits(mfgp.cho_solve(bundle.chol, b), expected)
 
     @pytest.mark.parametrize("m", [1, 200])
     def test_solve_triangular_on_a_transposed_cross_covariance(self, bundle, m):
-        Ks = np.random.default_rng(1).normal(size=(m, bundle.K.shape[0]))
+        Ks = np.random.default_rng(1).normal(size=(m, bundle.chol.shape[0]))
         assert Ks.T.flags.f_contiguous
         expected = scipy.linalg.solve_triangular(bundle.chol, Ks.T, lower=True)
         assert self.same_bits(mfgp.solve_triangular(bundle.chol, Ks.T), expected)
@@ -177,14 +208,14 @@ class TestJointCovariance:
     def test_matches_oracle_with_identity_map(self, seed):
         params = ar1_model(D=2, rho=0.8)
         data = random_data(seed, D=2)
-        b = assemble(params, data)
+        K = assembled_with_k(params, data)[1]
         expected = ar1_joint_cov(
             data.x1, data.x2, params.rho,
             params.k1.signal_variance, params.k1.lengthscales,
             params.k2.signal_variance, params.k2.lengthscales,
             noise_variance(params.log_noise1), noise_variance(params.log_noise2),
         )
-        np.testing.assert_allclose(b.K, expected, rtol=1e-13)
+        np.testing.assert_allclose(K, expected, rtol=1e-13)
 
     def test_features_pass_through_map(self):
         arch = [LayerSpec(1, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
@@ -219,6 +250,46 @@ class TestNll:
         data = random_data(seed)
         expected = ar1_nll(**oracle_args(params, data))
         assert nll(params, data) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_splits_on_a_nested_design(self, seed):
+        # Kennedy & O'Hagan (2000, sec. 2.3): with x2 a subset of x1 and no
+        # low-fidelity noise, d = f2 - rho * f1(x2) is independent of f1, and
+        # nll is the sum of two GP NLLs, of f1 under K1 = k1 + e*I and of d
+        # under K2 = k2 + (s2 + j)*I; e = s1 + j, j the bundle's jitter.
+        # With e > 0, d given f1 has mean -rho*u, u = e P K1^-1 f1 (P picks
+        # x2's rows of x1), and covariance M = K2 + S, 0 <= S <= rho^2 e I.
+        # Since M^-1 <= K2^-1, nll - split is bounded by
+        #   0.5 log det(M K2^-1)               <= 0.5 rho^2 e tr K2^-1
+        #   0.5 d^T (K2^-1 - M^-1) d           <= 0.5 rho^2 e |K2^-1 d|^2
+        #   0.5 |(d + rho u)^T M^-1 (d + rho u) - d^T M^-1 d|
+        #       <= |rho| sqrt(u^T K2^-1 u d^T K2^-1 d) + 0.5 rho^2 u^T K2^-1 u
+        rng = np.random.default_rng(seed)
+        D, n1, n2 = 1 + seed % 2, 12, 5
+        rho = (0.7, 1.3, -0.9, 0.4, 1.8)[seed]
+        params = ar1_model(D=D, rho=rho, n1=1e-30, n2=1e-4)  # s1 at NOISE_FLOOR
+        x1 = rng.uniform(0, 2, (n1, D))
+        idx = rng.choice(n1, n2, replace=False)
+        f1 = np.sin(3 * x1).sum(axis=1)
+        delta = 0.3 * np.cos(2 * x1[idx]).sum(axis=1)
+        data = Dataset(x1, f1, x1[idx], rho * f1[idx] + delta)
+        j = assemble(params, data).jitter
+        k1, k2 = params.k1, params.k2
+        e = noise_variance(params.log_noise1) + j
+        K1 = se_kernel_matrix(k1.signal_variance, k1.lengthscales, x1, x1) + e * np.eye(n1)
+        K2 = se_kernel_matrix(k2.signal_variance, k2.lengthscales, x1[idx], x1[idx])
+        K2 += (noise_variance(params.log_noise2) + j) * np.eye(n2)
+        d = data.f2 - rho * f1[idx]
+        split = gp_nll(K1, f1) + gp_nll(K2, d)
+
+        K2inv = np.linalg.inv(K2)
+        u = e * (np.linalg.inv(K1) @ f1)[idx]
+        uKu, dKd, Kd = u @ K2inv @ u, d @ K2inv @ d, K2inv @ d
+        bound = 0.5 * rho**2 * e * (np.trace(K2inv) + Kd @ Kd)
+        bound += abs(rho) * np.sqrt(uKu * dKd) + 0.5 * rho**2 * uKu
+        # a cross block with rho off by 0.1% moves nll by 1e-2 or more here
+        assert bound < 5e-3
+        assert abs(nll(params, data) - split) <= bound
 
     def test_single_observation_closed_form(self):
         # one low-fidelity point: a univariate Gaussian likelihood

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,60 @@ class TestInitParams:
         assert p.arch == []
         assert p.fmap.weights == [] and p.fmap.biases == []
         assert p.k1.dim == p.k2.dim == ARCH[0].input_width
+
+
+class TestParamsEquality:
+    """ModelParams and FeatureMapParams compare by value, as KernelParams does."""
+
+    def test_equal_starts_compare_equal(self):
+        cfg = TrainConfig(seed=7)
+        a, b = init_params(ARCH, cfg, 0), init_params(ARCH, cfg, 0)
+        assert a.fmap.weights[0] is not b.fmap.weights[0]
+        assert a == b and not a != b
+        assert a.fmap == b.fmap and not a.fmap != b.fmap
+        # the zero-layer map draws nothing: every restart starts at one point
+        frozen = TrainConfig(seed=7, freeze_feature_map=True)
+        assert init_params(ARCH, frozen, 0) == init_params(ARCH, frozen, 1)
+
+    def test_restarts_compare_unequal(self):
+        cfg = TrainConfig(seed=7)
+        a, b = init_params(ARCH, cfg, 0), init_params(ARCH, cfg, 1)
+        assert a != b and a.fmap != b.fmap
+        assert replace(a, fmap=b.fmap) == b  # only the drawn weights differ
+
+    def test_every_part_counts(self):
+        a = init_params(ARCH, TrainConfig(seed=7), 0)
+        other_kernel = KernelParams(0.5, np.zeros(2))
+        bias = [b + 1.0 for b in a.fmap.biases]
+        arch = [LayerSpec(1, 3, "identity"), ARCH[1]]
+        for changed in (
+            replace(a, rho=-1.0),
+            replace(a, k1=other_kernel),
+            replace(a, k2=other_kernel),
+            replace(a, arch=arch),
+            replace(a, fmap=FeatureMapParams(a.fmap.weights, bias)),
+            replace(a, log_noise1=0.0),
+            replace(a, log_noise2=0.0),
+        ):
+            assert a != changed and changed != a
+        assert a != (a.rho, a.k1, a.k2, a.arch, a.fmap, a.log_noise1, a.log_noise2)
+        # a map with fewer layers is unequal, not truncated by zip
+        short = FeatureMapParams(a.fmap.weights[:1], a.fmap.biases[:1])
+        assert a.fmap != short and short != a.fmap
+
+    def test_nan_is_unequal(self):
+        a = init_params(ARCH, TrainConfig(seed=7), 0)
+        b = copy.deepcopy(a)
+        b.fmap.weights[1][0, 1] = np.nan
+        assert b != copy.deepcopy(b) and b.fmap != copy.deepcopy(b.fmap)
+        assert b != a
+        assert replace(a, rho=np.nan) != replace(a, rho=np.nan)
+
+    def test_unhashable(self):
+        a = init_params(ARCH, TrainConfig(seed=7), 0)
+        for value in (a, a.fmap):
+            with pytest.raises(TypeError):
+                hash(value)
 
 
 class TestPacking:

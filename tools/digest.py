@@ -5,7 +5,7 @@ Run it on both checkouts at the same BLAS thread count and compare the
 outputs; equal lines mean equal bits for that group:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py generate objective cli
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/digest.py generate objective factor cli
 
 Groups (all by default):
 
@@ -14,6 +14,10 @@ Groups (all by default):
 - objective: NLL and packed gradient at perturbed points: 3 kinds, data
   seeds 0-4, deep and zero-layer maps, 4 restart start points, 3
   perturbations of each.
+- factor: mfgp.assemble's factored state at the objective group's points:
+  the Cholesky factor (its zeros' signs too), alpha, the features H and
+  the jitter. Bundles from before K left them have these fields too, so
+  the group compares checkouts across that change.
 - fits: the 30 acceptance-protocol fits (3 kinds, seeds 0-4, deep and
   AR(1), 10 restarts): per_restart, best_nll and the packed best parameters.
 - predict: those fits' grid predictions, and each grid point predicted on
@@ -67,8 +71,9 @@ def generated():
     return h.hexdigest()
 
 
-def objective():
-    h = hashlib.sha256()
+def _objective_points():
+    """(params, centered data, config) at the perturbed points of the
+    objective and factor groups."""
     for kind in KINDS:
         for seed in SEEDS:
             data = benchmarks.generate(benchmarks.BenchmarkSpec(kind, seed=seed))[0]
@@ -81,8 +86,22 @@ def objective():
                     rng = np.random.default_rng([seed, r, 7])
                     for _ in range(3):
                         x = x0 + 0.3 * rng.standard_normal(x0.size)
-                        g = mfgp.nll_gradient(trainer.unpack_params(x, p0, config), centered)
-                        _update(h, g.nll, trainer.pack_gradient(g, config))
+                        yield trainer.unpack_params(x, p0, config), centered, config
+
+
+def objective():
+    h = hashlib.sha256()
+    for params, centered, config in _objective_points():
+        g = mfgp.nll_gradient(params, centered)
+        _update(h, g.nll, trainer.pack_gradient(g, config))
+    return h.hexdigest()
+
+
+def factor():
+    h = hashlib.sha256()
+    for params, centered, _ in _objective_points():
+        b = mfgp.assemble(params, centered)
+        _update(h, b.chol, b.alpha, b.H, b.jitter)
     return h.hexdigest()
 
 
@@ -142,7 +161,7 @@ def cli_files():
 
 
 def main():
-    names = ("generate", "objective", "fits", "predict", "cli")
+    names = ("generate", "objective", "factor", "fits", "predict", "cli")
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("groups", nargs="*", help=f"any of {', '.join(names)} (default: all)")
     groups = parser.parse_args().groups or names
@@ -154,6 +173,8 @@ def main():
         out["generate"] = generated()
     if "objective" in groups:
         out["objective"] = objective()
+    if "factor" in groups:
+        out["factor"] = factor()
     if "fits" in groups or "predict" in groups:
         out.update(fits_and_predict(groups))
     if "cli" in groups:
