@@ -121,9 +121,7 @@ def cmd_train(args):
     lines = [f"trained on {args.data} (n1={data.n1}, n2={data.n2})"]
     lines.append(f"architecture: {'identity (AR(1) baseline)' if baseline else arch_text}")
     for r in report.per_restart:
-        lines.append(
-            f"restart {r.restart_index}: nll={r.final_nll:.6f} ({r.iterations} iterations, {r.stop})"
-        )
+        lines.append(f"restart {r.restart}: nll={r.final_nll:.6f} ({r.iterations} iterations, {r.stop})")
     lines.append(f"best nll: {report.best_nll:.6f}")
     lines.append(f"model written to {out}")
     report_text = "\n".join(lines) + "\n"
@@ -220,13 +218,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

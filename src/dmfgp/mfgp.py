@@ -14,9 +14,13 @@ high-fidelity function, whose covariance K_* with the training rows is
 built the same way, every query row being high fidelity.
 """
 
+import ctypes
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from . import feature_map as fm
@@ -414,6 +418,19 @@ def predict(params, data, Xstar):
     return PosteriorPrediction(mean, np.maximum(var, 0.0), Hs)
 
 
+@cache
+def _blas_threads():
+    """Getter and setter of scipy's bundled OpenBLAS thread count, looked up
+    on the first prior draw; no-ops where scipy has no such library (a build
+    on MKL or a system BLAS), which leaves the draw thread-dependent."""
+    libs = Path(scipy.__file__).parent.with_suffix(".libs")  # site-packages/scipy.libs
+    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+        lib = ctypes.CDLL(str(path))  # the copy that scipy.linalg.lapack loaded
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    return (lambda: None), (lambda threads: None)
+
+
 def sample_prior(params, X, seed):
     """Seeded joint prior draw (f1 sample, f2 sample), both fidelities at
     inputs X. The zero-layer map draws on given features: its features are
@@ -427,17 +444,25 @@ def sample_prior(params, X, seed):
     of _chol. When k1 and k2 are equal in value (as in the prior_sample
     truth and every init_params start), their Grams and factors are too, so
     one Gram and one factor serve both draws, with the same bits as two.
+    The Grams are factored on one OpenBLAS thread (see _blas_threads): a
+    threaded Cholesky of an ill-conditioned Gram rounds differently.
     """
     H = fm.forward(params.arch, params.fmap, X)[-1]
     n = H.shape[0]
     if n == 0:
         raise ValueError("need at least one sample point")
     z = np.random.default_rng(seed).standard_normal(2 * n)
-    if params.k2 == params.k1:
-        L = _chol(kern.gram(params.k1, H, H))[0]
-        g1, g2 = L @ z[:n], L @ z[n:]
-    else:
-        # one statement per kernel, so each Gram and factor is freed before the next
-        g1 = _chol(kern.gram(params.k1, H, H))[0] @ z[:n]
-        g2 = _chol(kern.gram(params.k2, H, H))[0] @ z[n:]
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        if params.k2 == params.k1:
+            L = _chol(kern.gram(params.k1, H, H))[0]
+            g1, g2 = L @ z[:n], L @ z[n:]
+        else:
+            # one statement per kernel, so each Gram and factor is freed before the next
+            g1 = _chol(kern.gram(params.k1, H, H))[0] @ z[:n]
+            g2 = _chol(kern.gram(params.k2, H, H))[0] @ z[n:]
+    finally:
+        set_threads(threads)
     return g1, params.rho * g1 + g2

@@ -7,6 +7,7 @@ exactly (shortest-repr encoding), so a reloaded model reproduces its NLL
 bit for bit.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,15 +70,7 @@ def from_report(report, data, meta=None):
     meta = {
         **(meta or {}),
         "best_nll": report.best_nll,
-        "per_restart": [
-            {
-                "restart": r.restart_index,
-                "final_nll": r.final_nll,
-                "iterations": r.iterations,
-                "stop": r.stop,
-            }
-            for r in report.per_restart
-        ],
+        "per_restart": [dataclasses.asdict(r) for r in report.per_restart],
         "seed": report.config.seed,
         "restarts": report.config.restarts,
     }

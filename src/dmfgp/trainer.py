@@ -6,15 +6,16 @@ BFGS-family minimizer with a monotone line search (scipy's L-BFGS-B) is
 sufficient. Restarts guard against the multimodality introduced by
 feature-map symmetries: each draws its own layer weights. The zero-layer map
 (the AR(1) baseline) draws nothing, so its restarts share one start point;
-train minimizes each distinct start point once and copies its record to the
-restarts that repeat it. Parameter settings whose covariance cannot be
-factorized, or whose NLL or gradient is not finite, are mapped to a large
-penalty value, which the line search rejects. The penalties seen in
-practice come from a non-finite K, NLL or gradient, not from a finite K
-that the jittered Cholesky fails on.
+train minimizes each distinct start point once, copies its record to the
+restarts that repeat it, and picks the best run after the loop. Parameter
+settings whose covariance cannot be factorized, or whose NLL or gradient is
+not finite, are mapped to a large penalty value, which the line search
+rejects. The penalties seen in practice come from a non-finite K, NLL or
+gradient, not from a finite K that the jittered Cholesky fails on.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -68,7 +69,8 @@ class TrainConfig:
 
 @dataclass
 class RestartResult:
-    restart_index: int
+    """One restart's record; the field names are the model file's per-restart keys."""
+    restart: int
     final_nll: float
     iterations: int
     stop: str  # L-BFGS-B's own message, verbatim, or INFEASIBLE_START
@@ -195,21 +197,16 @@ def _minimize_restart(value_and_grad, x0, max_iterations):
     """Minimize from one start point with L-BFGS-B.
 
     value_and_grad(x) returns (f, g), using the penalty convention above for
-    infeasible points. Returns (x, f, iterations, message) or None when
-    the start point itself is infeasible: scipy's first evaluation, at x0,
-    then gets the penalty with a zero gradient, and L-BFGS-B stops there.
-    The message is L-BFGS-B's own stop reason: its relative-reduction test
-    (factr), the iteration cap, or an abnormal end of the line search.
+    infeasible points. Returns (x, f, iterations, stop). stop is L-BFGS-B's
+    own stop reason: its relative-reduction test (factr), the iteration cap,
+    or an abnormal end of the line search. An infeasible start point gets
+    the penalty with a zero gradient at scipy's first evaluation, and
+    L-BFGS-B stops there; its record is then (x0, inf, 0, INFEASIBLE_START).
     """
-    res = minimize(
-        value_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iterations, "gtol": GRADIENT_TOLERANCE},
-    )
+    options = {"maxiter": max_iterations, "gtol": GRADIENT_TOLERANCE}
+    res = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B", options=options)
     if res.fun >= _PENALTY:
-        return None
+        return x0, np.inf, 0, INFEASIBLE_START
     return res.x, float(res.fun), int(res.nit), res.message
 
 
@@ -245,45 +242,37 @@ def train(data, arch, config):
         )
     centered, mean, scale = center_targets(data)
 
-    results = []
-    best = None
-    # the record of each start point minimized so far, keyed by its packed
-    # bytes: the frozen parts come from the config, so equal bytes mean the
-    # same objective from the same point, and L-BFGS-B would repeat its run
-    outcomes = {}
+    def value_and_grad(vec, template):
+        with np.errstate(all="ignore"):
+            try:
+                grad = mfgp.nll_gradient(unpack_params(vec, template, config), centered)
+                f, g = grad.nll, pack_gradient(grad, config)
+            except NotPositiveDefiniteError:
+                return _PENALTY, np.zeros(vec.size)
+            if not (np.isfinite(f) and np.all(np.isfinite(g))):
+                return _PENALTY, np.zeros(vec.size)
+            return f, g
+
+    per_restart = []
+    # (start template, x, f, iterations, stop) per distinct start point,
+    # keyed by its packed bytes: the frozen parts come from the config, so
+    # equal bytes mean the same objective from the same point, and L-BFGS-B
+    # would repeat its run
+    runs = {}
     for r in range(config.restarts):
         params0 = init_params(arch, config, r)
         x0 = pack_params(params0, config)
         key = x0.tobytes()
-        if key in outcomes:
-            results.append(RestartResult(r, *outcomes[key]))
-            continue
+        if key not in runs:
+            objective = partial(value_and_grad, template=params0)
+            runs[key] = params0, *_minimize_restart(objective, x0, config.max_iterations)
+        per_restart.append(RestartResult(r, *runs[key][2:]))
 
-        def value_and_grad(vec, _template=params0):
-            with np.errstate(all="ignore"):
-                try:
-                    p = unpack_params(vec, _template, config)
-                    grad = mfgp.nll_gradient(p, centered)
-                    f, g = grad.nll, pack_gradient(grad, config)
-                except NotPositiveDefiniteError:
-                    return _PENALTY, np.zeros(vec.size)
-                if not (np.isfinite(f) and np.all(np.isfinite(g))):
-                    return _PENALTY, np.zeros(vec.size)
-                return f, g
-
-        out = _minimize_restart(value_and_grad, x0, config.max_iterations)
-        if out is None:
-            outcomes[key] = (np.inf, 0, INFEASIBLE_START)
-        else:
-            x, f, iterations, stop = out
-            outcomes[key] = (f, iterations, stop)
-            if best is None or f < best[0]:
-                best = (f, unpack_params(x, params0, config))
-        results.append(RestartResult(r, *outcomes[key]))
-
-    if best is None:
+    # min keeps the first of equal NLLs, in restart order
+    template, x, best_nll, _, _ = min(runs.values(), key=lambda run: run[2])
+    if best_nll == np.inf:
         raise TrainingFailedError(
             f"all {config.restarts} restarts failed with non-positive-definite covariances"
         )
-    return TrainReport(best[1], best[0], results, mean, scale, config)
-
+    best = unpack_params(x, template, config)
+    return TrainReport(best, best_nll, per_restart, mean, scale, config)

@@ -1,10 +1,11 @@
 import copy
 import subprocess
 import sys
-import textwrap
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -528,6 +529,44 @@ class TestSamplePrior:
         assert f1.tobytes() == g1.tobytes()
         assert f2.tobytes() == (1.3 * g1 + g2).tobytes()
 
+    @pytest.mark.parametrize("k2", [KernelParams(0.0, [0.0]), KernelParams(-0.5, [0.2])],
+                             ids=["equal", "distinct"])
+    def test_factors_on_one_blas_thread(self, monkeypatch, k2):
+        get_threads, set_threads = mfgp._blas_threads()
+        before = get_threads()
+        if before is None:
+            pytest.skip("scipy has no bundled OpenBLAS with thread controls")
+        arch, fmap = fm.identity_map(1)
+        params = ModelParams(1.3, KernelParams(0.0, np.zeros(1)), k2, arch, fmap)
+        seen = []
+        cholesky = mfgp.cholesky
+        monkeypatch.setattr(mfgp, "cholesky", lambda A: seen.append(get_threads()) or cholesky(A))
+        set_threads(2)
+        try:
+            sample_prior(params, np.linspace(0, 1, 30).reshape(-1, 1), seed=4)
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert seen == [1] * (1 if k2 == params.k1 else 2)
+        assert after == 2  # the caller's count is restored
+
+    def test_draws_where_scipy_has_no_openblas(self, monkeypatch, tmp_path):
+        # a scipy built on another BLAS: the lookup finds no library, and the
+        # draw runs at the process's thread count
+        params = ar1_model()
+        X = np.linspace(0, 1, 30).reshape(-1, 1)
+        expected = sample_prior(params, X, seed=5)
+        elsewhere = SimpleNamespace(__file__=str(tmp_path / "scipy" / "__init__.py"))
+        monkeypatch.setattr(mfgp, "scipy", elsewhere)
+        mfgp._blas_threads.cache_clear()
+        try:
+            get_threads, _ = mfgp._blas_threads()
+            got = sample_prior(params, X, seed=5)
+        finally:
+            mfgp._blas_threads.cache_clear()  # the next draw looks up the real library
+        assert get_threads() is None
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
     @pytest.mark.parametrize("k2", [KernelParams(0.0, np.zeros(2)), KernelParams(0.0, np.full(2, -0.5))],
                              ids=["equal", "distinct"])
     def test_benchmark_draw_needs_less_than_the_joint_factor(self, k2):
@@ -552,48 +591,21 @@ class TestSamplePrior:
         assert peak < 3.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n^2 doubles"
 
 
-_OBJECTIVE_DIGEST = textwrap.dedent(
-    """
-    import hashlib
-
-    import numpy as np
-
-    from dmfgp import benchmarks, mfgp, trainer
-    from dmfgp.feature_map import LayerSpec
-
-    arch = [LayerSpec(1, 3, "sigmoid"), LayerSpec(3, 2, "identity")]
-    digest = hashlib.sha256()
-    for kind in ("step", "forrester_jump"):
-        data = benchmarks.generate(benchmarks.BenchmarkSpec(kind, seed=0))[0]
-        centered = trainer.center_targets(data)[0]
-        for freeze in (False, True):
-            config = trainer.TrainConfig(seed=0, freeze_feature_map=freeze)
-            for r in range(3):
-                p0 = trainer.init_params(arch, config, r)
-                x0 = trainer.pack_params(p0, config)
-                rng = np.random.default_rng([r, 7])
-                for _ in range(3):
-                    x = x0 + 0.3 * rng.standard_normal(x0.size)
-                    g = mfgp.nll_gradient(trainer.unpack_params(x, p0, config), centered)
-                    digest.update(np.float64(g.nll).tobytes())
-                    digest.update(trainer.pack_gradient(g, config).tobytes())
-    print(digest.hexdigest())
-    """
-)
-
-
 def test_objective_does_not_depend_on_blas_threads():
-    # prior_sample is left out: its data depend on the thread count
+    # tools/digest.py's data, objective and factor groups, prior_sample included
+    digest = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", _OBJECTIVE_DIGEST],
+            [sys.executable, str(digest), "generate", "objective", "factor"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=dict(_src_env(), OPENBLAS_NUM_THREADS=threads),
         )
         for threads in ("1", "2")
     ]
-    outs = [p.communicate(timeout=120) for p in procs]
+    outs = [p.communicate(timeout=300) for p in procs]
     for p, (_, err) in zip(procs, outs):
         assert p.returncode == 0, err
-    one, two = (out.strip() for out, _ in outs)
-    assert len(one) == 64 and one == two
+    one, two = (out.splitlines() for out, _ in outs)
+    assert [line.split()[0] for line in one] == ["threads", "generate", "objective", "factor"]
+    assert one[0] != two[0]  # the threads line names the setting
+    assert one[1:] == two[1:]

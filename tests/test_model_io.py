@@ -253,6 +253,16 @@ class TestFittedModel:
         np.testing.assert_allclose(m2.predict(X).variance, fitted.predict(X).variance)
 
 
+class TestFromReport:
+    def test_per_restart_holds_each_record_as_it_is(self):
+        data = prior_data(0)
+        report = train(data, ARCH, TrainConfig(seed=0, restarts=2, max_iterations=5))
+        per_restart = model.from_report(report, data).meta["per_restart"]
+        assert per_restart == [dataclasses.asdict(r) for r in report.per_restart]
+        assert [list(r) for r in per_restart] == [["restart", "final_nll", "iterations", "stop"]] * 2
+        assert [r["restart"] for r in per_restart] == [0, 1]
+
+
 class TestModelJson:
     def test_round_trip_reproduces_nll(self, tmp_path, fitted):
         path = tmp_path / "m.json"

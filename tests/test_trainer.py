@@ -12,6 +12,7 @@ from dmfgp.trainer import (
     _PENALTY,
     INFEASIBLE_START,
     TrainConfig,
+    TrainingFailedError,
     _minimize_restart,
     center_targets,
     init_params,
@@ -282,6 +283,43 @@ class TestTrain:
         assert (first.final_nll, first.iterations, first.stop) == (np.inf, 0, INFEASIBLE_START)
         assert second.stop == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["deep", "frozen"])
+    def test_every_start_infeasible_fails_training(self, monkeypatch, freeze):
+        real_init = trainer.init_params
+
+        def init_params_nan_rho(arch, config, restart_index):
+            params = real_init(arch, config, restart_index)
+            params.rho = np.nan
+            return params
+
+        monkeypatch.setattr(trainer, "init_params", init_params_nan_rho)
+        cfg = TrainConfig(seed=0, restarts=3, max_iterations=3, freeze_feature_map=freeze)
+        with pytest.raises(TrainingFailedError, match="all 3 restarts failed"):
+            train(prior_data(0), ARCH, cfg)
+
+    def test_equal_nlls_keep_the_first_start(self, monkeypatch):
+        # every run ends at its own start with the same NLL; the best is
+        # restart 0's, and its parameters are unpacked once, after the loop
+        unpacked = []
+        real_unpack = trainer.unpack_params
+
+        def recording_unpack(*args, **kwargs):
+            unpacked.append(None)
+            return real_unpack(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "unpack_params", recording_unpack)
+        monkeypatch.setattr(
+            trainer, "_minimize_restart", lambda fun, x0, cap: (x0, -1.5, 4, "fixed")
+        )
+        cfg = TrainConfig(seed=0, restarts=3)
+        report = train(prior_data(0), ARCH, cfg)
+        starts = [pack_params(init_params(ARCH, cfg, r), cfg) for r in range(3)]
+        assert len({x.tobytes() for x in starts}) == 3
+        assert report.best_nll == -1.5
+        np.testing.assert_array_equal(pack_params(report.best_params, cfg), starts[0])
+        assert len(unpacked) == 1
+        assert [record(r) for r in report.per_restart] == [(-1.5, 4, "fixed")] * 3
+
     def test_factor_failure_mid_fit_is_penalised(self, monkeypatch):
         # the third factorization of an AR(1) fit fails: that evaluation
         # gets the penalty, and the line search steps back from it
@@ -345,7 +383,7 @@ class TestDistinctStarts:
         report = train(prior_data(0), ARCH, self.AR1)
         assert len(calls) == 1
         first = (calls[0].fun, calls[0].nit, calls[0].message)
-        assert [r.restart_index for r in report.per_restart] == list(range(10))
+        assert [r.restart for r in report.per_restart] == list(range(10))
         assert [record(r) for r in report.per_restart] == [first] * 10
 
     def test_ar1_fit_equals_a_single_restart(self):
@@ -368,7 +406,7 @@ class TestDistinctStarts:
         first, second, third = train(prior_data(0), ARCH, cfg).per_restart
         assert len(calls) == 2
         assert calls[0].x0.tobytes() != calls[1].x0.tobytes()
-        assert third.restart_index == 2
+        assert third.restart == 2
         assert record(third) == record(first) == (calls[0].fun, calls[0].nit, calls[0].message)
         assert record(second) == (calls[1].fun, calls[1].nit, calls[1].message)
 
@@ -426,7 +464,10 @@ class TestMinimizeRestart:
             calls.append(None)
             return _PENALTY, np.zeros(x.size)
 
-        assert _minimize_restart(penalised, np.zeros(3), 100) is None
+        x0 = np.array([0.5, -1.0, 2.0])
+        x, f, iterations, stop = _minimize_restart(penalised, x0, 100)
+        np.testing.assert_array_equal(x, x0)
+        assert (f, iterations, stop) == (np.inf, 0, INFEASIBLE_START)
         assert len(calls) == 1
 
 
